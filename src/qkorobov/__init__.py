@@ -3,7 +3,6 @@
 from .simulator import (
     Circuit,
     Gate,
-    Multiplexed,
     ResourceReport,
     Statevector,
     apply_gate,
@@ -44,7 +43,6 @@ from .lcu import (
     evaluate_via_circuit,
     hadamard_test,
     hadamard_test_circuit,
-    multiplexer,
     plan_from_terms,
     prepare_state_unitary,
 )

@@ -413,6 +413,30 @@ def cmd_circuit(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+OPTIONS = [
+    ("--config", dict(help="JSON file with defaults; flags override")),
+    ("--fn", dict(help="corpus function name (or 'zero')")),
+    ("--expr", dict(help="product of factors, e.g. 'x(1-x)*sin(pi x)'")),
+    ("--d", dict(type=int, help="dimension")),
+    ("--n", dict(type=int, help="truncation level")),
+    ("--n-range", dict(help="inclusive level range A..B")),
+    ("--p", dict(help="norm: 2, inf, or a float in (2, inf)")),
+    ("--x", dict(help="points: coords comma-separated, points ';'-separated")),
+    ("--eps", dict(help="comma-separated epsilon grid (resources)")),
+    ("--out", dict(help="output path (default stdout)")),
+    ("--format", dict(choices=["csv", "json", "svg"], default=None)),
+    ("--seed", dict(type=int, default=0)),
+    ("--normalized", dict(action="store_true", default=False,
+                          help="also report the pre-rescaling amplitude")),
+    ("--quadrature", dict(action="store_true", default=False,
+                          help="coeffs: add the integral-formula cross value per entry")),
+    ("--include-identity-gates", dict(default=True, action=argparse.BooleanOptionalAction,
+                                      help="materialise zero-angle phase gates (default on)")),
+    ("--scale-coeffs", dict(type=float, default=1.0,
+                            help="audit test hook: scale coefficients by this factor")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkorobov",
@@ -430,27 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in commands.items():
         sp = sub.add_parser(name)
         sp.set_defaults(handler=handler)
-        sp.add_argument("--config", help="JSON file with defaults; flags override")
-        sp.add_argument("--fn", help="corpus function name (or 'zero')")
-        sp.add_argument("--expr", help="product of factors, e.g. 'x(1-x)*sin(pi x)'")
-        sp.add_argument("--d", type=int, help="dimension")
-        sp.add_argument("--n", type=int, help="truncation level")
-        sp.add_argument("--n-range", help="inclusive level range A..B")
-        sp.add_argument("--p", help="norm: 2, inf, or a float in (2, inf)")
-        sp.add_argument("--x", help="points: coords comma-separated, points ';'-separated")
-        sp.add_argument("--eps", help="comma-separated epsilon grid (resources)")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=["csv", "json", "svg"], default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--normalized", action="store_true",
-                        help="also report the pre-rescaling amplitude")
-        sp.add_argument("--quadrature", action="store_true",
-                        help="coeffs: add the integral-formula cross value per entry")
-        sp.add_argument("--include-identity-gates", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="materialise zero-angle phase gates (default on)")
-        sp.add_argument("--scale-coeffs", type=float, default=1.0,
-                        help="audit test hook: scale coefficients by this factor")
+        for flag, kwargs in OPTIONS:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -460,13 +465,31 @@ _DEFAULT_FORMATS = {
 }
 
 
-_NON_NONE_DEFAULTS = {
-    "seed": 0,
-    "scale_coeffs": 1.0,
-    "include_identity_gates": True,
-    "normalized": False,
-    "quadrature": False,
+_OPTIONS_BY_DEST = {flag[2:].replace("-", "_"): kwargs for flag, kwargs in OPTIONS}
+
+# JSON types a config value may have, by the argparse type of its option
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    None: ((str, int, float), "a string or number"),
 }
+
+
+def _config_value(attr: str, value):
+    """A config value checked and converted like the same flag on the command line."""
+    kwargs = _OPTIONS_BY_DEST[attr]
+    if "action" in kwargs:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {attr!r} must be true or false, got {value!r}")
+        return value
+    convert = kwargs.get("type")
+    types, kind = _CONFIG_TYPES[convert]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config key {attr!r} must be {kind}, got {value!r}")
+    value = convert(value) if convert else str(value)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ConfigError(f"config key {attr!r} must be one of {kwargs['choices']}")
+    return value
 
 
 def _merge_config(args) -> None:
@@ -482,9 +505,10 @@ def _merge_config(args) -> None:
         raise ConfigError("--config must hold a JSON object")
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if attr in ("config", "handler", "command") or not hasattr(args, attr):
+        if attr == "config" or attr not in _OPTIONS_BY_DEST:
             raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == _NON_NONE_DEFAULTS.get(attr, None):
+        value = _config_value(attr, value)
+        if getattr(args, attr) == _OPTIONS_BY_DEST[attr].get("default"):
             setattr(args, attr, value)
 
 
@@ -499,7 +523,8 @@ def main(argv=None) -> int:
         if args.format is None:
             args.format = _DEFAULT_FORMATS[args.command]
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # the library raises ValueError for out-of-range input such as --n 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

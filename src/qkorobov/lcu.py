@@ -15,9 +15,15 @@ Register layout: data qubits 0..d-1 (coordinate j of the interpolation point
 drives qubit j), selector ancillas d..d+s-1 with s = ceil(log2 M), and the
 Hadamard-test ancilla in front as qubit 0 of the widened circuit.  The select
 operation is materialised gate by gate: every single-qubit gate of every term
-circuit becomes one op controlled on the full selector pattern, which is what
-gives the assembled circuit the elementary-gate counts of the select-oracle
+circuit becomes one ``Gate`` whose controls are the selector and whose
+control values are the bits of the term index j, which is what gives the
+assembled circuit the elementary-gate counts of the select-oracle
 construction (M = 1 needs no ancilla and no controls).
+
+Each matrix is checked once: F when it is built, W(u) when it is bound (once
+per distinct coordinate, degree and argument of a plan).  The select gates,
+F^dag and the Hadamard-test wrap derive from those checked gates and reuse
+their read-only matrices.
 """
 
 from __future__ import annotations
@@ -32,12 +38,10 @@ from . import qsp
 from .simulator import (
     Circuit,
     Gate,
-    GateOp,
     HADAMARD,
-    Multiplexed,
+    IDENTITY_2,
     ResourceReport,
     Statevector,
-    circuit_unitary,
     controlled,
     expectation_z_first,
     resource_report,
@@ -76,34 +80,6 @@ def prepare_state_unitary(coefficients) -> np.ndarray:
     return f.astype(complex)
 
 
-def multiplexer(term_circuits: Sequence[Circuit], term_signs,
-                data_qubits: Sequence[int] | None = None,
-                selector: Sequence[int] | None = None) -> GateOp:
-    """Single block-diagonal select op: |j> on the ancillas picks sign_j U_j.
-
-    Each term circuit is composed into one dense block.  Selector states
-    beyond the term count act as the identity.  With one term the op is the
-    bare (signed) block and no selector is attached.
-    """
-    signs = np.asarray(term_signs, dtype=float).reshape(-1)
-    if len(term_circuits) != signs.size or not len(term_circuits):
-        raise ValueError("need one sign per term circuit")
-    if np.any(np.abs(signs) != 1.0):
-        raise ValueError("signs must be +1 or -1")
-    d = term_circuits[0].width
-    if any(c.width != d for c in term_circuits):
-        raise ValueError("term circuits must share the data width")
-    data = tuple(data_qubits) if data_qubits is not None else tuple(range(d))
-    blocks = {
-        j: signs[j] * circuit_unitary(circ) for j, circ in enumerate(term_circuits)
-    }
-    if len(term_circuits) == 1:
-        return Gate(blocks[0], targets=data, label="term-0")
-    s = ancilla_count(len(term_circuits))
-    sel = tuple(selector) if selector is not None else tuple(range(d, d + s))
-    return Multiplexed(blocks=blocks, selector=sel, targets=data, label="select")
-
-
 @dataclass
 class LcuPlan:
     """Everything needed to assemble one combination circuit.
@@ -122,6 +98,10 @@ class LcuPlan:
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float).reshape(-1)
         self.term_signs = np.asarray(self.term_signs, dtype=float).reshape(-1)
+        self.check()
+
+    def check(self) -> None:
+        """Raise unless the fields agree; assembly builds its gates on this."""
         m = self.coefficients.size
         if m == 0:
             raise ValueError("a plan needs at least one term")
@@ -129,6 +109,10 @@ class LcuPlan:
             raise ValueError("plan coefficients must be strictly positive")
         if self.term_signs.size != m or len(self.term_circuits) != m:
             raise ValueError("coefficients, signs, and circuits must align")
+        if np.any(np.abs(self.term_signs) != 1.0):
+            raise ValueError("term signs must be +1 or -1")
+        if {c.width for c in self.term_circuits} != {self.data_width} or not self.data_width:
+            raise ValueError("term circuits must share one data width >= 1")
         if self.ancilla_count != ancilla_count(m):
             raise ValueError("ancilla_count inconsistent with the term count")
         if abs(self.one_norm - self.coefficients.sum()) > 1e-12 * max(1.0, self.one_norm):
@@ -154,6 +138,8 @@ def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
     kept = [t for t in terms if t.weight != 0.0]
     if not kept:
         return None
+    symbolic: dict[int, Circuit] = {}
+    bound: dict[tuple, list[Gate]] = {}  # the 2^d terms of a level share u
     circuits = []
     for t in kept:
         if len(t.degrees) != d:
@@ -164,8 +150,11 @@ def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
                 raise ValueError(
                     f"term argument u={u} outside [-1, 1]; support filtering failed"
                 )
-            for op in qsp.bind_signal(qsp.chebyshev_circuit(k, include_identity), u).ops:
-                circ.append(Gate(op.matrix, targets=(j,), label=op.label))
+            if (j, k, u) not in bound:
+                if k not in symbolic:
+                    symbolic[k] = qsp.chebyshev_circuit(k, include_identity)
+                bound[j, k, u] = [shifted(op, j) for op in qsp.bind_signal(symbolic[k], u).ops]
+            circ.extend(bound[j, k, u])
         circuits.append(circ)
     weights = np.array([t.weight for t in kept])
     return LcuPlan(
@@ -181,35 +170,30 @@ def assemble_lcu(plan: LcuPlan) -> Circuit:
     """The full combination circuit on d + ceil(log2 M) qubits.
 
     Ops are F on the ancillas, then per term and per single-qubit gate one
-    selector-controlled op (the sign rides on the term's first gate), then
-    F^dag.  <00..0|circuit|00..0> is the combination divided by ||a||_1.
+    selector-controlled op (the sign rides on the term's first gate, or on
+    an identity gate on qubit 0 when a negative term has none), then F^dag.
+    <00..0|circuit|00..0> is the combination divided by ||a||_1.
     """
+    plan.check()  # the fields may have changed since construction
     d = plan.data_width
-    m = plan.term_count
     s = plan.ancilla_count
     sel = tuple(range(d, d + s))
     circuit = Circuit(width=d + s)
     if s:
-        f = prepare_state_unitary(plan.coefficients)
-        circuit.append(Gate(f, targets=sel, label="prepare"))
-    for j in range(m):
-        sign = plan.term_signs[j]
-        for pos, op in enumerate(plan.term_circuits[j].ops):
-            mat = op.matrix * (sign if pos == 0 else 1.0)
-            if s:
-                circuit.append(
-                    Multiplexed(
-                        blocks={j: mat},
-                        selector=sel,
-                        targets=op.targets,
-                        label=f"term-{j}",
-                    )
-                )
-            else:
-                circuit.append(Gate(mat, targets=op.targets, label=f"term-{j}"))
+        prepare = Gate(prepare_state_unitary(plan.coefficients), targets=sel, label="prepare")
+        circuit.append(prepare)
+    for j, (sign, term) in enumerate(zip(plan.term_signs, plan.term_circuits)):
+        bits = tuple((j >> b) & 1 for b in range(s))
+        ops = term.ops
+        if sign < 0 and not ops:
+            # a gate-free term (degree 0 without identity gates) still carries its sign
+            ops = [Gate(IDENTITY_2, targets=(0,))]
+        for pos, op in enumerate(ops):
+            mat = sign * op.matrix if pos == 0 and sign < 0 else op.matrix
+            circuit.append(Gate._trusted(mat, op.targets, op.controls + sel,
+                                         op.control_values + bits, f"term-{j}"))
     if s:
-        f = prepare_state_unitary(plan.coefficients)
-        circuit.append(Gate(f.conj().T, targets=sel, label="unprepare"))
+        circuit.append(Gate._trusted(prepare.matrix.conj().T, sel, label="unprepare"))
     return circuit
 
 
@@ -256,28 +240,14 @@ def evaluate_via_circuit(s: SurplusMap, x, include_identity: bool = True
 
 def circuit_json_ops(circuit: Circuit) -> list[dict]:
     """JSON-ready trace: ordered primitive ops with row-major [re, im] entries."""
-    ops = []
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            variants = [(op.matrix, list(op.controls), list(op.control_values))]
-        else:
-            variants = [
-                (
-                    block,
-                    list(op.controls) + list(op.selector),
-                    list(op.control_values) + [(j >> b) & 1 for b in range(len(op.selector))],
-                )
-                for j, block in sorted(op.blocks.items())
-            ]
-        for matrix, controls, values in variants:
-            ops.append(
-                {
-                    "kind": "unitary",
-                    "label": op.label,
-                    "targets": list(op.targets),
-                    "controls": controls,
-                    "control_values": values,
-                    "matrix": [[float(z.real), float(z.imag)] for z in matrix.ravel()],
-                }
-            )
-    return ops
+    return [
+        {
+            "kind": "unitary",
+            "label": op.label,
+            "targets": list(op.targets),
+            "controls": list(op.controls),
+            "control_values": list(op.control_values),
+            "matrix": [[float(z.real), float(z.imag)] for z in op.matrix.ravel()],
+        }
+        for op in circuit.ops
+    ]

@@ -6,17 +6,23 @@ Conventions used throughout the package:
   basis-state index.  Qubit 0 is "the first qubit" wherever a single wire is
   singled out (the Z observable of ``expectation_z_first``, the
   interferometric test ancilla).
-* A ``Gate`` is a dense unitary on one or more named target qubits,
-  optionally conditioned on control qubits (each with a required bit value,
-  default 1).  A ``Multiplexed`` op applies one of several unitaries to its
-  targets, selected by the computational-basis value of an ancilla register;
-  branches not listed act as the identity.
-* Simulation is exact and dense.  The practical ceiling is width <= 22
-  (the statevector alone is 64 MiB there); everything in this package uses
-  width <= 12.
+* ``Gate`` is the one op type: a dense unitary on one or more named target
+  qubits, optionally conditioned on control qubits (each with a required bit
+  value, default 1).  A register-selected block (a multiplexer) is a
+  sequence of gates, one per branch, whose controls are the selector and
+  whose control values are the bits of the branch index.
+* Matrices are validated once, where they enter: the public ``Gate``
+  constructor checks unitarity and freezes its own copy.  Gates derived from
+  a checked gate (``shifted``, ``controlled``, a +-1 sign, an adjoint)
+  reuse that read-only matrix without a second dense check; the role and
+  width checks still run where they can fail.
+* Simulation is exact and dense.  ``MAX_DENSE_WIDTH`` = 22 is the ceiling
+  (the statevector alone is 64 MiB there), enforced before allocating;
+  everything in this package uses width <= 13.  ``run_circuit`` fuses
+  adjacent gates with the same wiring before applying them; fusion is
+  execution-only, ``Circuit.ops`` and every count keep the unfused ops.
 
-Resource accounting expands every op into per-branch controlled primitives
-and costs a primitive with ``c`` control/selector wires as ``max(1, c)``
+Resource accounting costs a gate with ``c`` control wires as ``max(1, c)``
 elementary gates on each wire it touches.  This mirrors the ancilla-free
 decompositions of multi-controlled gates whose depth grows linearly in the
 number of controls; it is what makes select-style circuits report the extra
@@ -27,7 +33,7 @@ circuits contain no controls, so their counts are unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,15 +56,11 @@ def _as_unitary(matrix, what: str) -> np.ndarray:
     return m
 
 
-def _check_disjoint(targets, controls, selector=()):
-    seen = set()
-    for group, name in ((targets, "targets"), (controls, "controls"), (selector, "selector")):
-        for q in group:
-            if q < 0:
-                raise ValueError(f"negative qubit index in {name}: {q}")
-            if q in seen:
-                raise ValueError(f"qubit {q} appears in more than one role")
-            seen.add(q)
+def _check_dense_width(width: int) -> None:
+    if width > MAX_DENSE_WIDTH:
+        raise ValueError(
+            f"width {width} exceeds the dense ceiling MAX_DENSE_WIDTH = {MAX_DENSE_WIDTH}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,92 +90,54 @@ class Gate:
                 f"matrix of dimension {self.matrix.shape[0]} does not fit "
                 f"{len(self.targets)} target qubit(s)"
             )
-        _check_disjoint(self.targets, self.controls)
+        seen = set()
+        for q in self.targets + self.controls:
+            if q < 0:
+                raise ValueError(f"negative qubit index: {q}")
+            if q in seen:
+                raise ValueError(f"qubit {q} appears in more than one role")
+            seen.add(q)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, targets: tuple[int, ...],
+                 controls: tuple[int, ...] = (), control_values: tuple[int, ...] = (),
+                 label: str = "") -> "Gate":
+        """A gate built without checks, for derivations that keep them true.
+
+        ``matrix`` must be unitary by construction (a checked gate's matrix,
+        its adjoint or a +-1 multiple of one); it is frozen here.
+        The wiring must be disjoint, non-negative and one bit per control.
+        """
+        matrix.flags.writeable = False
+        gate = object.__new__(cls)
+        gate.__dict__.update(matrix=matrix, targets=targets, controls=controls,
+                             control_values=control_values, label=label)
+        return gate
 
     def touched(self) -> tuple[int, ...]:
         return self.targets + self.controls
 
-    def control_count(self) -> int:
-        return len(self.controls)
 
-
-@dataclass(frozen=True, eq=False)
-class Multiplexed:
-    """Register-selected block unitary.
-
-    ``blocks[j]`` acts on ``targets`` when the ``selector`` register holds the
-    basis value ``j`` (``selector[b]`` carries bit ``b`` of ``j``); branch
-    values without an entry act as the identity.
-    """
-
-    blocks: Mapping[int, np.ndarray]
-    selector: tuple[int, ...]
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-    control_values: tuple[int, ...] = ()
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "selector", tuple(self.selector))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "controls", tuple(self.controls))
-        values = tuple(self.control_values) or (1,) * len(self.controls)
-        if len(values) != len(self.controls) or any(v not in (0, 1) for v in values):
-            raise ValueError("control_values must be one bit per control")
-        object.__setattr__(self, "control_values", values)
-        if not self.selector:
-            raise ValueError("multiplexed op needs a non-empty selector register")
-        dim = 2 ** len(self.targets)
-        checked = {}
-        for j, block in dict(self.blocks).items():
-            if not 0 <= int(j) < 2 ** len(self.selector):
-                raise ValueError(f"branch {j} does not fit the selector register")
-            b = _as_unitary(block, f"multiplexer block {j}")
-            if b.shape[0] != dim:
-                raise ValueError(f"block {j} does not act on {len(self.targets)} qubit(s)")
-            checked[int(j)] = b
-        object.__setattr__(self, "blocks", checked)
-        _check_disjoint(self.targets, self.controls, self.selector)
-
-    def touched(self) -> tuple[int, ...]:
-        return self.targets + self.selector + self.controls
-
-    def control_count(self) -> int:
-        return len(self.selector) + len(self.controls)
-
-
-GateOp = Union[Gate, Multiplexed]
-
-
-def controlled(op: GateOp, control: int, value: int = 1) -> GateOp:
+def controlled(op: Gate, control: int, value: int = 1) -> Gate:
     """Condition ``op`` on one extra control qubit."""
     if control in op.touched():
         raise ValueError(f"control {control} already used by the op")
-    kwargs = dict(
-        targets=op.targets,
-        controls=(control,) + op.controls,
-        control_values=(value,) + op.control_values,
-        label=op.label,
-    )
-    if isinstance(op, Gate):
-        return Gate(matrix=op.matrix, **kwargs)
-    return Multiplexed(blocks=op.blocks, selector=op.selector, **kwargs)
+    if control < 0 or value not in (0, 1):
+        raise ValueError(f"control {control} with value {value} is not a qubit and a bit")
+    return Gate._trusted(op.matrix, op.targets, (control,) + op.controls,
+                         (value,) + op.control_values, op.label)
 
 
-def shifted(op: GateOp, offset: int) -> GateOp:
+def shifted(op: Gate, offset: int) -> Gate:
     """Translate every qubit index of ``op`` by ``offset``."""
-    kwargs = dict(
-        targets=tuple(q + offset for q in op.targets),
-        controls=tuple(q + offset for q in op.controls),
-        control_values=op.control_values,
-        label=op.label,
-    )
-    if isinstance(op, Gate):
-        return Gate(matrix=op.matrix, **kwargs)
-    return Multiplexed(
-        blocks=op.blocks,
-        selector=tuple(q + offset for q in op.selector),
-        **kwargs,
+    if min(op.touched(), default=0) + offset < 0:
+        raise ValueError(f"offset {offset} moves the op below qubit 0")
+    return Gate._trusted(
+        op.matrix,
+        tuple(q + offset for q in op.targets),
+        tuple(q + offset for q in op.controls),
+        op.control_values,
+        op.label,
     )
 
 
@@ -191,14 +155,12 @@ class Circuit:
         for op in ops:
             self.append(op)
 
-    def append(self, op: GateOp) -> "Circuit":
-        bad = [q for q in op.touched() if q >= self.width]
-        if bad:
-            raise ValueError(f"op touches qubit(s) {bad} outside width {self.width}")
+    def append(self, op: Gate) -> "Circuit":
+        _validate_op(op, self.width)
         self.ops.append(op)
         return self
 
-    def extend(self, ops: Iterable[GateOp]) -> "Circuit":
+    def extend(self, ops: Iterable[Gate]) -> "Circuit":
         for op in ops:
             self.append(op)
         return self
@@ -223,6 +185,7 @@ class Statevector:
 
     @classmethod
     def zero(cls, width: int) -> "Statevector":
+        _check_dense_width(width)
         amps = np.zeros(2 ** width, dtype=complex)
         amps[0] = 1.0
         return cls(amps, width)
@@ -239,47 +202,69 @@ def _axis(width: int, qubit: int) -> int:
     return width - 1 - qubit
 
 
-def _apply_dense(tensor: np.ndarray, width: int, matrix: np.ndarray,
-                 targets: tuple[int, ...], fixed: list[tuple[int, int]]) -> None:
+def _apply_op(tensor: np.ndarray, width: int, matrix: np.ndarray, op: Gate) -> None:
+    """Apply ``matrix`` on the wiring (targets, controls, values) of ``op``."""
     slicer = [slice(None)] * tensor.ndim
-    for q, v in fixed:
+    for q, v in zip(op.controls, op.control_values):
         slicer[_axis(width, q)] = slice(v, v + 1)
     slicer = tuple(slicer)
     view = tensor[slicer]
-    k = len(targets)
-    axes = [_axis(width, q) for q in reversed(targets)]
+    k = len(op.targets)
+    axes = [_axis(width, q) for q in reversed(op.targets)]
     moved = np.moveaxis(view, axes, range(k))
     flat = moved.reshape(2 ** k, -1)
     out = (matrix @ flat).reshape(moved.shape)
     tensor[slicer] = np.moveaxis(out, range(k), axes)
 
 
-def _apply_op(tensor: np.ndarray, width: int, op: GateOp) -> None:
-    fixed = list(zip(op.controls, op.control_values))
-    if isinstance(op, Gate):
-        _apply_dense(tensor, width, op.matrix, op.targets, fixed)
+def _fused(ops: list[Gate]) -> Iterator[tuple[np.ndarray, Gate]]:
+    """Yield (product matrix, first gate) per run of adjacent same-wiring gates.
+
+    Fusion is execution-only: the products are never stored in a circuit.
+    """
+    if not ops:
         return
-    for j, block in op.blocks.items():
-        branch_fixed = fixed + [(q, (j >> b) & 1) for b, q in enumerate(op.selector)]
-        _apply_dense(tensor, width, block, op.targets, branch_fixed)
+    run, matrix = ops[0], ops[0].matrix
+    for op in ops[1:]:
+        if (op.targets == run.targets and op.controls == run.controls
+                and op.control_values == run.control_values):
+            matrix = op.matrix @ matrix
+        else:
+            yield matrix, run
+            run, matrix = op, op.matrix
+    yield matrix, run
 
 
-def _validate_op(op: GateOp, width: int) -> None:
-    bad = [q for q in op.touched() if q >= width]
-    if bad:
+def _run_ops(tensor: np.ndarray, circuit: "Circuit") -> np.ndarray:
+    """``tensor`` (amplitudes reshaped to [2]*width plus any trailing axes) after the ops."""
+    if circuit.width == 1:
+        # each gate spans the register: applying it costs what fusing it would
+        for op in circuit.ops:
+            tensor = op.matrix @ tensor
+        return tensor
+    for matrix, op in _fused(circuit.ops):
+        _apply_op(tensor, circuit.width, matrix, op)
+    return tensor
+
+
+def _validate_op(op: Gate, width: int) -> None:
+    touched = op.touched()
+    if touched and max(touched) >= width:
+        bad = [q for q in touched if q >= width]
         raise ValueError(f"op touches qubit(s) {bad} outside width {width}")
 
 
-def apply_gate(state: Statevector, op: GateOp) -> Statevector:
+def apply_gate(state: Statevector, op: Gate) -> Statevector:
     """Return the state after one op; the input state is left untouched."""
     _validate_op(op, state.width)
     amps = state.amplitudes.copy()
-    _apply_op(amps.reshape([2] * state.width), state.width, op)
+    _apply_op(amps.reshape([2] * state.width), state.width, op.matrix, op)
     return Statevector(amps, state.width)
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
     """Apply all ops of ``circuit`` in order to ``initial`` (default |0...0>)."""
+    _check_dense_width(circuit.width)
     if initial is None:
         initial = Statevector.zero(circuit.width)
     if initial.width != circuit.width:
@@ -287,15 +272,7 @@ def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Stateve
             f"state width {initial.width} does not match circuit width {circuit.width}"
         )
     amps = initial.amplitudes.copy()
-    if circuit.width == 1:
-        # hot path for the width-1 polynomial circuits
-        for op in circuit.ops:
-            amps = op.matrix @ amps
-        return Statevector(amps, 1)
-    tensor = amps.reshape([2] * circuit.width)
-    for op in circuit.ops:
-        _apply_op(tensor, circuit.width, op)
-    return Statevector(amps, circuit.width)
+    return Statevector(_run_ops(amps.reshape([2] * circuit.width), circuit), circuit.width)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -304,14 +281,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise ValueError("dense circuit matrix limited to width <= 12")
     dim = 2 ** circuit.width
     mat = np.eye(dim, dtype=complex)
-    if circuit.width == 1:
-        for op in circuit.ops:
-            mat = op.matrix @ mat
-        return mat
-    tensor = mat.reshape([2] * circuit.width + [dim])
-    for op in circuit.ops:
-        _apply_op(tensor, circuit.width, op)
-    return mat.reshape(dim, dim)
+    return _run_ops(mat.reshape([2] * circuit.width + [dim]), circuit).reshape(dim, dim)
 
 
 def expectation_z_first(state: Statevector) -> float:
@@ -342,23 +312,13 @@ class ResourceReport:
     touch_depth: int
 
 
-def _primitives(circuit: Circuit):
-    """Flatten ops to (touched qubits, control count) primitive records."""
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            yield op.touched(), op.control_count()
-        else:
-            base = len(op.selector) + len(op.controls)
-            for _ in sorted(op.blocks):
-                yield op.touched(), base
-
-
 def qubit_touch_counts(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """Per-qubit (multi-qubit-primitive count, weighted touch count)."""
+    """Per-qubit (multi-qubit-gate count, weighted touch count)."""
     multi = [0] * circuit.width
     touch = [0] * circuit.width
-    for touched, nctrl in _primitives(circuit):
-        w = max(1, nctrl)
+    for op in circuit.ops:
+        touched = op.touched()
+        w = max(1, len(op.controls))
         wide = len(touched) >= 2
         for q in touched:
             touch[q] += w
@@ -371,8 +331,9 @@ def resource_report(circuit: Circuit) -> ResourceReport:
     multi, touch = qubit_touch_counts(circuit)
     gate_count = 0
     finish = [0] * circuit.width
-    for touched, nctrl in _primitives(circuit):
-        w = max(1, nctrl)
+    for op in circuit.ops:
+        touched = op.touched()
+        w = max(1, len(op.controls))
         gate_count += w
         start = max((finish[q] for q in touched), default=0)
         for q in touched:

@@ -281,3 +281,27 @@ class TestPlumbing:
             tmp_path, "w.csv",
         )
         assert code == 2
+
+    def test_level_zero_is_config_error(self, tmp_path):
+        code, _ = run_cli(
+            ["eval", "--fn", "prod-quad", "--d", "1", "--n", "0", "--x", "0.5"],
+            tmp_path, "n0.csv",
+        )
+        assert code == 2
+
+    def test_config_value_of_wrong_type(self, tmp_path):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({"n": "3"}))
+        code, _ = run_cli(
+            ["eval", "--config", str(cfg), "--fn", "prod-quad", "--d", "1", "--x", "0.5"],
+            tmp_path, "typed.csv",
+        )
+        assert code == 2
+
+    def test_config_flag_values(self, tmp_path):
+        cfg = tmp_path / "flags.json"
+        cfg.write_text(json.dumps({"fn": "prod-quad", "d": 1, "n": 2, "x": 0.3,
+                                   "normalized": True, "format": "json"}))
+        code, data = run_cli(["eval", "--config", str(cfg)], tmp_path, "flags.json")
+        assert code == 0
+        assert "normalized_amplitude" in json.loads(data)["rows"][0]

@@ -14,10 +14,10 @@ from qkorobov.lcu import (
     evaluate_via_circuit,
     hadamard_test,
     hadamard_test_circuit,
-    multiplexer,
     plan_from_terms,
     prepare_state_unitary,
 )
+from qkorobov import qsp
 from qkorobov.qsp import bind_signal, chebyshev_circuit
 from qkorobov.simulator import (
     Circuit,
@@ -84,36 +84,50 @@ class TestPrepareState:
             prepare_state_unitary([])
 
 
+def select_segment(plan):
+    """The assembled select ops alone: everything between F and F^dag."""
+    circuit = assemble_lcu(plan)
+    return Circuit(circuit.width, circuit.ops[1:-1])
+
+
 class TestMultiplexer:
+    # the select block of assemble_lcu: one selector-controlled gate per term gate
     def test_single_term_is_plain_gate(self):
-        op = multiplexer([Circuit(1, [Gate(PAULI_X, (0,))])], [1.0])
-        assert isinstance(op, Gate)
+        plan = LcuPlan(
+            coefficients=np.array([1.0]),
+            term_circuits=[Circuit(1, [Gate(PAULI_X, (0,))])],
+            term_signs=np.array([1.0]),
+            ancilla_count=0,
+            one_norm=1.0,
+        )
+        circuit = assemble_lcu(plan)
+        assert circuit.width == 1
+        [op] = circuit.ops
+        assert op.controls == ()
         np.testing.assert_allclose(op.matrix, PAULI_X)
 
     def test_two_term_selector(self):
-        circuits = [
-            Circuit(1, [Gate(IDENTITY_2, (0,))]),
-            Circuit(1, [Gate(PAULI_X, (0,))]),
-        ]
-        op = multiplexer(circuits, [1.0, 1.0])
-        dense = circuit_unitary(Circuit(2, [op]))
+        plan = identity_plan([1.0, 1.0], [1.0, 1.0])
+        plan.term_circuits[1] = Circuit(1, [Gate(PAULI_X, (0,))])
+        dense = circuit_unitary(select_segment(plan))
         expected = np.eye(4, dtype=complex)
         expected[2:, 2:] = PAULI_X
         np.testing.assert_allclose(dense, expected, atol=1e-14)
 
     def test_sign_becomes_branch_phase(self):
-        circuits = [
-            Circuit(1, [Gate(IDENTITY_2, (0,))]),
-            Circuit(1, [Gate(IDENTITY_2, (0,))]),
-        ]
-        op = multiplexer(circuits, [1.0, -1.0])
-        dense = circuit_unitary(Circuit(2, [op]))
+        dense = circuit_unitary(select_segment(identity_plan([1.0, 1.0], [1.0, -1.0])))
         expected = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
         np.testing.assert_allclose(dense, expected, atol=1e-14)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
-            multiplexer([Circuit(1), Circuit(2)], [1.0, 1.0])
+            LcuPlan(
+                coefficients=np.array([1.0, 1.0]),
+                term_circuits=[Circuit(1), Circuit(2)],
+                term_signs=np.array([1.0, 1.0]),
+                ancilla_count=1,
+                one_norm=2.0,
+            )
 
 
 class TestAssemble:
@@ -133,6 +147,23 @@ class TestAssemble:
         circuit = assemble_lcu(identity_plan([1.0, 1.0], [1.0, -1.0]))
         assert abs(direct_amplitude(circuit)) <= 1e-12
 
+    def test_gate_free_negative_term_keeps_its_sign(self):
+        # degree-0 terms have no gates when identity gates are left out
+        plan = LcuPlan(
+            coefficients=np.array([1.0, 1.0]),
+            term_circuits=[Circuit(1), Circuit(1)],
+            term_signs=np.array([1.0, -1.0]),
+            ancilla_count=1,
+            one_norm=2.0,
+        )
+        assert abs(direct_amplitude(assemble_lcu(plan))) <= 1e-12
+
+    def test_identity_free_circuit_matches_classical(self):
+        smap = surplus_coefficients(lambda X: -PROD_QUAD_2(X), 3, 2)
+        x = np.array([0.37, 0.61])
+        value, _ = evaluate_via_circuit(smap, x, include_identity=False)
+        assert value == pytest.approx(smap.evaluate(x), abs=1e-12)
+
     def test_sandwich_matches_dense_select(self):
         # expanded per-gate assembly == (I x F^dag) select (I x F) as matrices
         smap = surplus_coefficients(PROD_QUAD_2, 2, 2)
@@ -141,12 +172,11 @@ class TestAssemble:
         assembled = circuit_unitary(assemble_lcu(plan))
         f = prepare_state_unitary(plan.coefficients)
         dim_data = 2 ** plan.data_width
-        select = circuit_unitary(
-            Circuit(
-                plan.data_width + plan.ancilla_count,
-                [multiplexer(plan.term_circuits, plan.term_signs)],
-            )
-        )
+        # block-diagonal select in plain numpy: selector value j picks sign_j U_j
+        select = np.eye(dim_data * 2 ** plan.ancilla_count, dtype=complex)
+        for j, (sign, term) in enumerate(zip(plan.term_signs, plan.term_circuits)):
+            block = slice(j * dim_data, (j + 1) * dim_data)
+            select[block, block] = sign * circuit_unitary(term)
         f_full = np.kron(f, np.eye(dim_data))
         np.testing.assert_allclose(
             assembled, f_full.conj().T @ select @ f_full, atol=1e-12
@@ -163,6 +193,26 @@ class TestAssemble:
                 ancilla_count=0,
                 one_norm=2.0,
             )
+
+    def test_non_unit_sign_rejected(self):
+        # a sign of 0.5 would make the select block non-unitary
+        with pytest.raises(ValueError, match="signs must be"):
+            identity_plan([1.0, 1.0], [1.0, 0.5])
+        plan = identity_plan([1.0, 1.0], [1.0, 1.0])
+        plan.term_signs[1] = -0.5
+        with pytest.raises(ValueError, match="signs must be"):
+            assemble_lcu(plan)
+
+    def test_each_argument_bound_once(self, monkeypatch):
+        calls = []
+        original = qsp.bind_signal
+        monkeypatch.setattr(qsp, "bind_signal", lambda c, x: calls.append(x) or original(c, x))
+        smap = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        terms = [t for t in chebyshev_expansion(smap, np.array([0.3, 0.45])) if t.weight]
+        plan = plan_from_terms(terms, 2)
+        distinct = {(j, k, u) for t in terms for j, (k, u) in enumerate(zip(t.degrees, t.arguments))}
+        assert plan.term_count == len(terms)
+        assert len(calls) == len(distinct) < len(terms) * 2  # the terms share arguments
 
 
 def plan_from_terms_from_circuit(x):

@@ -8,7 +8,7 @@ from qkorobov.simulator import (
     Gate,
     HADAMARD,
     IDENTITY_2,
-    Multiplexed,
+    MAX_DENSE_WIDTH,
     PAULI_X,
     PAULI_Z,
     Statevector,
@@ -45,12 +45,12 @@ class TestApplyGate:
 
     def test_multiplexed_selector_semantics(self):
         # data qubit 0, ancilla qubit 1 = |1>: branch 1 applies X to the data
-        mux = Multiplexed(blocks={0: IDENTITY_2, 1: PAULI_X}, selector=(1,), targets=(0,))
+        mux = Circuit(2, select_gates({0: IDENTITY_2, 1: PAULI_X}, n_data=1, n_sel=1))
         state = Statevector(np.array([0, 0, 1, 0], dtype=complex), 2)  # |ancilla=1, data=0>
-        out = apply_gate(state, mux)
+        out = run_circuit(mux, state)
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
         # ancilla |0> leaves the data alone
-        out0 = apply_gate(Statevector.zero(2), mux)
+        out0 = run_circuit(mux, Statevector.zero(2))
         np.testing.assert_allclose(out0.amplitudes, [1, 0, 0, 0], atol=1e-15)
 
     def test_input_state_not_mutated(self):
@@ -89,6 +89,43 @@ class TestRunCircuit:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
             run_circuit(Circuit(2), Statevector.zero(3))
+
+
+class TestDenseCeiling:
+    # both checks run before the 2^width amplitudes are allocated
+    def test_zero_state_beyond_ceiling(self):
+        with pytest.raises(ValueError, match="MAX_DENSE_WIDTH"):
+            Statevector.zero(MAX_DENSE_WIDTH + 1)
+
+    def test_run_beyond_ceiling(self):
+        with pytest.raises(ValueError, match="MAX_DENSE_WIDTH"):
+            run_circuit(Circuit(MAX_DENSE_WIDTH + 1))
+
+
+class TestFusion:
+    def test_fused_run_equals_gate_by_gate(self):
+        # runs of same-wiring gates (control values 0 and 1) interleaved with
+        # wiring changes; run_circuit fuses each run before applying it
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            width = int(rng.integers(2, 6))
+            circ = Circuit(width)
+            for _ in range(int(rng.integers(1, 6))):
+                qubits = list(rng.permutation(width))
+                n_ctrl = int(rng.integers(0, width))
+                target, controls = (int(qubits[0]),), tuple(int(q) for q in qubits[1:1 + n_ctrl])
+                values = tuple(int(v) for v in rng.integers(0, 2, size=n_ctrl))
+                for _ in range(int(rng.integers(1, 5))):
+                    circ.append(Gate(random_unitary(rng, 2), target, controls, values))
+            psi = rng.standard_normal(2 ** width) + 1j * rng.standard_normal(2 ** width)
+            state = Statevector(psi / np.linalg.norm(psi), width)
+            want = state
+            for op in circ.ops:
+                want = apply_gate(want, op)
+            n_ops = len(circ.ops)
+            got = run_circuit(circ, state)
+            np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
+            assert len(circ.ops) == n_ops  # fusion never rewrites the circuit
 
 
 class TestExpectationZFirst:
@@ -254,6 +291,15 @@ class TestAgainstKronReference:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def select_gates(blocks, n_data, n_sel):
+    """One selector-controlled gate per branch: controls = selector, values = bits of j."""
+    selector = tuple(range(n_data, n_data + n_sel))
+    return [
+        Gate(block, tuple(range(n_data)), selector, tuple((j >> b) & 1 for b in range(n_sel)))
+        for j, block in sorted(blocks.items())
+    ]
+
+
 def reference_multiplexer_matrix(blocks, n_data, n_sel):
     """Independent dense construction: branch j of the selector applies U_j."""
     dim = 2 ** (n_data + n_sel)
@@ -279,18 +325,15 @@ class TestMultiplexer:
                 for j in range(2 ** n_sel)
                 if rng.random() < 0.8
             }
-            mux = Multiplexed(
-                blocks=blocks,
-                selector=tuple(range(n_data, n_data + n_sel)),
-                targets=tuple(range(n_data)),
-            )
-            dense = circuit_unitary(Circuit(n_data + n_sel, [mux]))
+            mux = Circuit(n_data + n_sel, select_gates(blocks, n_data, n_sel))
+            dense = circuit_unitary(mux)
             expected = reference_multiplexer_matrix(blocks, n_data, n_sel)
             np.testing.assert_allclose(dense, expected, atol=1e-12)
 
     def test_branch_out_of_register(self):
-        with pytest.raises(ValueError, match="selector"):
-            Multiplexed(blocks={2: IDENTITY_2}, selector=(1,), targets=(0,))
+        # branch 2 needs a second selector bit; a one-qubit selector only has 0/1
+        with pytest.raises(ValueError, match="one bit per control"):
+            Gate(IDENTITY_2, (0,), controls=(1,), control_values=(2,))
 
 
 class TestShifted:
@@ -307,3 +350,23 @@ class TestShifted:
         # |c=0> column untouched, |c=1> column applies op on qubit 1
         assert dense[0, 0] == pytest.approx(1.0)
         np.testing.assert_allclose(dense[1::2, 1::2], op.matrix, atol=1e-14)
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(ValueError, match="below qubit 0"):
+            shifted(Gate(PAULI_X, (1,), controls=(0,)), -1)
+
+
+class TestDerivedGates:
+    def test_derived_gates_share_the_checked_matrix(self):
+        op = Gate(HADAMARD, (0,))
+        derived = controlled(shifted(op, 2), control=1, value=0)
+        assert derived.matrix is op.matrix
+        assert not derived.matrix.flags.writeable
+        assert (derived.targets, derived.controls, derived.control_values) == ((2,), (1,), (0,))
+
+    def test_control_collision_still_checked(self):
+        op = Gate(PAULI_X, (0,), controls=(1,))
+        with pytest.raises(ValueError, match="already used"):
+            controlled(op, 1)
+        with pytest.raises(ValueError, match="bit"):
+            controlled(op, 2, value=2)
