@@ -27,7 +27,6 @@ from .sparsegrid import (
     SurplusMap,
     chebyshev_expansion,
     enumerate_levels,
-    evaluate_interpolant,
     grid_count,
     hat,
     index_set,

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkorobov.analysis import corpus_function
 from qkorobov.sparsegrid import (
+    BATCH_ROWS,
     ChebyshevTerm,
     GridIndex,
     SurplusMap,
     chebyshev_expansion,
     enumerate_levels,
-    evaluate_interpolant,
     grid_count,
     hat,
     index_set,
@@ -26,6 +27,52 @@ from qkorobov.sparsegrid import (
 PROD_QUAD_1 = lambda X: X[:, 0] * (1 - X[:, 0])
 PROD_QUAD_2 = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1])
 ZERO_1 = lambda X: np.zeros(len(X))
+
+
+def reference_surplus(f, n, d):
+    """Surpluses by the tensor stencil: prod_j [-1/2, 1, -1/2] at spacing 2^-l_j.
+
+    Reads f at node + offset * spacing for all 3^d offsets of every node, in
+    the key order of ``SurplusMap.entries``.
+    """
+    nodes = [g for level in enumerate_levels(n, d) for g in index_set(level)]
+    centre = np.array([g.node() for g in nodes])
+    spacing = np.array([g.spacing() for g in nodes])
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=d)), dtype=float)
+    weights = np.prod(np.where(offsets == 0, 1.0, -0.5), axis=1)
+    pts = centre[:, None, :] + offsets[None, :, :] * spacing[:, None, :]
+    values = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(len(nodes), -1)
+    return nodes, values @ weights
+
+
+def reference_evaluate_batch(s, points):
+    """The interpolant at (m, d) points by a plain loop over levels."""
+    total = np.zeros(points.shape[0])
+    for level in s.levels():
+        coeffs = np.array([s[g] for g in index_set(level)]).reshape(
+            [2 ** (l - 1) for l in level])
+        phi = np.ones(points.shape[0])
+        ok = np.ones(points.shape[0], dtype=bool)
+        cell = []
+        for j, l in enumerate(level):
+            t = points[:, j] * (2.0 ** l)
+            i = 2 * np.floor(t / 2.0).astype(np.int64) + 1
+            ok &= (1 <= i) & (i <= 2 ** l - 1)
+            i = np.clip(i, 1, 2 ** l - 1)
+            phi *= np.maximum(0.0, 1.0 - np.abs(t - i))
+            cell.append((i - 1) // 2)
+        total += np.where(ok, coeffs[tuple(cell)] * phi, 0.0)
+    return total
+
+
+def probe_points(rng, n, d, m=400):
+    """Random interior points, dyadic points up to level n + 1, and boundary points."""
+    level = rng.integers(1, n + 2, size=(m, d))
+    dyadic = rng.integers(0, 2 ** level + 1) / 2.0 ** level
+    boundary = rng.random((m, d))
+    boundary[rng.random((m, d)) < 0.3] = 0.0
+    boundary[rng.random((m, d)) < 0.3] = 1.0
+    return np.concatenate([rng.random((m, d)), dyadic, boundary])
 
 
 class TestHat:
@@ -139,6 +186,92 @@ class TestSurplusCoefficients:
         with pytest.raises(ValueError, match="non-finite"):
             surplus_coefficients(bad, 2, 1)
 
+    def test_one_call_on_nodes_and_faces(self):
+        # N nodes plus the 2d face sparse grids of dimension d - 1
+        for n, d, faces in ((8, 3, 6 * 1793), (6, 3, 6 * 321), (4, 1, 2)):
+            calls = []
+            f = corpus_function("prod-quad", d).f
+            s = surplus_coefficients(lambda X: calls.append(len(X)) or f(X), n, d)
+            assert calls == [len(s) + faces]
+            assert faces == 2 * d * (grid_count(n, d - 1) if d > 1 else 1)
+
+
+class TestBoundaryCheck:
+    def test_affine_function_rejected(self):
+        # the interpolant of 1 + x would be 0.0 at the node 0.5, where f = 1.5
+        with pytest.raises(ValueError, match="does not vanish on the boundary"):
+            surplus_coefficients(lambda X: 1 + X[:, 0], 2, 1)
+
+    def test_single_face_rejected(self):
+        # zero on three faces of the square, x_1 (1 - x_1) on the face x_2 = 1
+        f = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1]
+        with pytest.raises(ValueError, match=r"\[0\.\d+, 1\.0\]"):
+            surplus_coefficients(f, 3, 2)
+
+    def test_rounding_residue_accepted(self):
+        # sin(pi * 1) = 1.2e-16 is below the tolerance
+        for d in (1, 2):
+            s = surplus_coefficients(corpus_function("prod-sin", d).f, 4, d)
+            assert len(s) == grid_count(4, d)
+
+    def test_tolerance_scales_with_f(self):
+        big = lambda X: 1e6 * PROD_QUAD_1(X) + 1e-7 * X[:, 0]
+        surplus_coefficients(big, 3, 1)  # 1e-7 <= 1e-12 * max |f| = 2.5e-7
+        with pytest.raises(ValueError, match="boundary"):
+            surplus_coefficients(lambda X: PROD_QUAD_1(X) + 1e-11 * X[:, 0], 3, 1)
+
+
+class TestReferenceSurplus:
+    """The unidirectional build against the tensor stencil."""
+
+    @pytest.mark.parametrize("d, n_max", [(1, 6), (2, 6), (3, 6)])
+    def test_prod_quad_exact(self, d, n_max):
+        f = corpus_function("prod-quad", d).f
+        for n in range(1, n_max + 1):
+            nodes, want = reference_surplus(f, n, d)
+            s = surplus_coefficients(f, n, d)
+            assert list(s.entries) == nodes
+            np.testing.assert_array_equal(list(s.entries.values()), want)
+
+    def test_asym_cubic_exact(self):
+        f = corpus_function("asym-cubic", 1).f
+        for n in range(1, 9):
+            _, want = reference_surplus(f, n, 1)
+            got = list(surplus_coefficients(f, n, 1).entries.values())
+            np.testing.assert_array_equal(got, want)
+
+    def test_prod_sin_rounding_only(self):
+        for d, n in ((1, 8), (2, 6)):
+            f = corpus_function("prod-sin", d).f
+            _, want = reference_surplus(f, n, d)
+            got = np.array(list(surplus_coefficients(f, n, d).entries.values()))
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 3).flatmap(lambda d: st.tuples(
+            st.just(d),
+            st.integers(1, 5),
+            st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                     min_size=d, max_size=d),
+        ))
+    )
+    def test_random_separable_polynomials(self, case):
+        # prod_j x_j (1 - x_j) (a_j + b_j x_j + c_j x_j^2)
+        d, n, factors = case
+
+        def f(X):
+            out = np.ones(len(X))
+            for j, (a, b, c) in enumerate(factors):
+                t = X[:, j]
+                out = out * (t * (1 - t) * (a + b * t + c * t * t))
+            return out
+
+        nodes, want = reference_surplus(f, n, d)
+        got = np.array(list(surplus_coefficients(f, n, d).entries.values()))
+        scale = np.abs(f(np.array([g.node() for g in nodes]))).max()
+        assert np.abs(got - want).max() <= 1e-14 * scale
+
 
 class TestIntegralOracle:
     def test_quadratic_level2(self):
@@ -170,7 +303,6 @@ class TestInterpolant:
         s = surplus_coefficients(PROD_QUAD_1, 2, 1)
         # (1/4)(1/4) + (1/16)(1/2) by hand
         assert s.evaluate([0.125]) == pytest.approx(3 / 32, abs=1e-14)
-        assert evaluate_interpolant(s, [0.125]) == pytest.approx(3 / 32, abs=1e-14)
 
     def test_boundary_vanishes(self):
         s = surplus_coefficients(PROD_QUAD_2, 3, 2)
@@ -192,12 +324,66 @@ class TestInterpolant:
         single = np.array([s.evaluate(p) for p in pts])
         np.testing.assert_allclose(batch, single, atol=1e-15)
 
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 5), (3, 4)])
+    def test_batch_equals_level_loop(self, d, n):
+        rng = np.random.default_rng(d * 10 + n)
+        s = surplus_coefficients(corpus_function("prod-quad", d).f, n, d)
+        pts = probe_points(rng, n, d)
+        sin = surplus_coefficients(lambda X: np.prod(np.sin(np.pi * X), axis=1), n, d)
+        for smap in (s, sin):
+            np.testing.assert_array_equal(
+                smap.evaluate_batch(pts), reference_evaluate_batch(smap, pts))
+
+    def test_batch_across_row_blocks(self):
+        rng = np.random.default_rng(3)
+        s = surplus_coefficients(corpus_function("prod-quad", 2).f, 5, 2)
+        pts = rng.random((2 * BATCH_ROWS + 37, 2))
+        pts[BATCH_ROWS - 1] = (1.0, 0.5)
+        got = s.evaluate_batch(pts)
+        np.testing.assert_array_equal(got, reference_evaluate_batch(s, pts))
+        assert got[BATCH_ROWS - 1] == 0.0
+
     def test_batch_handles_grid_points(self):
         s = surplus_coefficients(PROD_QUAD_1, 3, 1)
         pts = np.linspace(0.0, 1.0, 17)[:, None]
         batch = s.evaluate_batch(pts)
         single = np.array([s.evaluate(p) for p in pts])
         np.testing.assert_allclose(batch, single, atol=1e-15)
+
+
+OUTSIDE = [(-0.5, 0.3), (np.nan, 0.3), (1.5, 0.3), (0.3, np.inf), (0.2, -1e-300)]
+
+
+class TestDomainPolicy:
+    """Every classical evaluator rejects the same inputs with the same error."""
+
+    ENTRY_POINTS = {
+        "evaluate": lambda s, x: s.evaluate(x),
+        "evaluate_batch": lambda s, x: s.evaluate_batch(np.array([[0.5, 0.5], x])),
+        "evaluate_grid": lambda s, x: s.evaluate_grid([[0.5, x[0]], [x[1]]]),
+        "chebyshev_expansion": lambda s, x: chebyshev_expansion(s, x),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("x", OUTSIDE)
+    def test_rejected(self, entry, x):
+        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        with pytest.raises(ValueError, match=r"is not a point of \[0,1\]\^d"):
+            self.ENTRY_POINTS[entry](s, np.array(x))
+
+    def test_names_first_bad_row(self):
+        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        pts = np.array([[0.5, 0.5], [0.2, 0.2], [1.5, 0.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^row 2 \(\[1\.5, 0\.0\]\)"):
+            s.evaluate_batch(pts)
+        with pytest.raises(ValueError, match=r"^axis 1 entry 1 "):
+            s.evaluate_grid([[0.5], [0.25, np.nan]])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_closed_domain_accepted(self, entry):
+        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        for x in ((0.0, 0.3), (1.0, 1.0), (0.5, 0.25)):
+            self.ENTRY_POINTS[entry](s, np.array(x))
 
 
 class TestLocateSupport:
