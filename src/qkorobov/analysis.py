@@ -6,7 +6,16 @@ the dual-oracle coefficient checks can be evaluated without any fitted
 constants.  Error norms follow fixed deterministic grids: the sup norm uses
 a dyadic grid that supersamples every interpolant cell 16x (kinks of the
 error sit on dyadic points only), finite p uses composite Gauss-Legendre
-for d <= 2 and a seeded Monte Carlo estimate for d = 3.
+for d <= 2 and a seeded Monte Carlo estimate for d = 3.  Both grid norms run
+through one chunked tensor-grid path, which reads a SurplusMap with
+``evaluate_grid`` and any other approximant as a callable on points.
+
+The coefficient audit and the stencil-vs-integral gap work one level at a
+time: ``support_rule`` builds the two-cell Gauss rules of every node of the
+level as (nodes x quadrature points) arrays, the mixed derivative is called
+once on all of them, and each row reduces to one node's value.  The
+one-node forms ``local_seminorm_2`` and ``integral_coefficient`` are the
+same computation on a single row.
 
 Resource bounds implement the epsilon-complexity formulas with every big-O
 constant set to 1; outputs are relative units good for ordering and
@@ -28,7 +37,10 @@ from .sparsegrid import (
     SurplusMap,
     chebyshev_expansion,
     grid_count,
-    integral_coefficient,
+    index_set,
+    integral_coefficient,  # re-exported: part of this module's interface
+    integral_coefficients,
+    support_rule,
     surplus_coefficients,
 )
 
@@ -172,40 +184,31 @@ def _gl_composite(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _iter_blocks(axes: list[np.ndarray], d: int, budget: int = 1 << 21):
-    """Yield (m, d) point blocks of the tensor grid without materialising it."""
-    tail = int(np.prod([len(a) for a in axes[1:]])) if d > 1 else 1
-    step = max(1, budget // max(1, tail))
-    first = axes[0]
-    for a in range(0, len(first), step):
-        chunk = [first[a : a + step]] + axes[1:]
-        mesh = np.meshgrid(*chunk, indexing="ij")
-        yield np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _grid_error(f: Callable, smap: SurplusMap, p: float, axes: list[np.ndarray],
+def _grid_error(f: Callable, g, p: float, axes: list[np.ndarray],
                 weights: list[np.ndarray] | None, budget: int = 1 << 21) -> float:
-    """Error against a SurplusMap over a tensor grid, chunked on axis 0."""
-    d = smap.d
-    tail = int(np.prod([len(a) for a in axes[1:]])) if d > 1 else 1
-    step = max(1, budget // max(1, tail))
+    """||f - g||_p over the tensor grid ``axes``, in blocks of rows of axis 0.
+
+    ``g`` is a SurplusMap, read through ``evaluate_grid``, or a callable on
+    (m, d) points; that is the only difference between the two.  The sup
+    norm takes the maximum over the grid (``weights`` None); finite p
+    contracts |f - g|^p with one weight vector per axis.
+    """
+    d = len(axes)
+    step = max(1, budget // math.prod(len(a) for a in axes[1:]))
     worst, total = 0.0, 0.0
-    first = axes[0]
-    for a in range(0, len(first), step):
-        sub_axes = [first[a : a + step]] + axes[1:]
-        mesh = np.meshgrid(*sub_axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        diff = np.abs(
-            np.asarray(f(pts), dtype=float).reshape([len(ax) for ax in sub_axes])
-            - smap.evaluate_grid(sub_axes)
-        )
+    for a in range(0, len(axes[0]), step):
+        block = [axes[0][a:a + step]] + axes[1:]
+        shape = [len(ax) for ax in block]
+        pts = np.stack(np.meshgrid(*block, indexing="ij", copy=False), axis=-1).reshape(-1, d)
+        g_vals = g.evaluate_grid(block) if isinstance(g, SurplusMap) else g(pts)
+        diff = np.abs(np.asarray(f(pts), dtype=float).reshape(shape) - np.reshape(g_vals, shape))
         if p == math.inf:
             worst = max(worst, float(diff.max()))
             continue
-        block = diff ** p
+        power = diff ** p
         for j in range(d - 1, 0, -1):
-            block = block @ weights[j]
-        total += float(weights[0][a : a + step] @ block)
+            power = power @ weights[j]
+        total += float(weights[0][a:a + step] @ power)
     return worst if p == math.inf else total ** (1.0 / p)
 
 
@@ -214,45 +217,19 @@ def lp_error(f: Callable, g, p, d: int, n: int, seed: int = 0) -> float:
 
     ``p`` is 2 <= p < inf or inf (the string "inf" and numpy inf work too).
     ``f`` takes (m, d) arrays; ``g`` may be the same or a SurplusMap, which
-    enables the fast tensor-grid path.  d = 3 with finite p falls back to a
-    seeded Monte Carlo estimate.
+    is read on the tensor grid by ``evaluate_grid``.  d = 3 with finite p
+    falls back to a seeded Monte Carlo estimate.
     """
     p = float("inf") if p in ("inf", np.inf, math.inf) else float(p)
     if p != math.inf and p < 2:
         raise ValueError("p must be in [2, inf]")
-    is_map = isinstance(g, SurplusMap)
     if p == math.inf:
-        axes = [_dyadic_grid(n)] * d
-        if is_map:
-            return _grid_error(f, g, p, axes, None)
-        worst = 0.0
-        for pts in _iter_blocks(axes, d):
-            worst = max(worst, float(np.abs(f(pts) - g(pts)).max()))
-        return worst
+        return _grid_error(f, g, p, [_dyadic_grid(n)] * d, None)
     if d >= 3:
-        g_fn = g.evaluate_batch if is_map else g
+        g_fn = g.evaluate_batch if isinstance(g, SurplusMap) else g
         return lp_error_mc(f, g_fn, p, d, seed=seed)[0]
     pts_1d, wts_1d = _gl_composite(n)
-    if is_map:
-        return _grid_error(f, g, p, [pts_1d] * d, [wts_1d] * d)
-    if d == 1:
-        diff = np.abs(f(pts_1d[:, None]) - g(pts_1d[:, None])) ** p
-        return float(np.sum(diff * wts_1d)) ** (1.0 / p)
-    return _lp_error_2d(f, g, p, pts_1d, wts_1d)
-
-
-def _lp_error_2d(f, g, p, pts_1d, wts_1d, budget: int = 1 << 21) -> float:
-    total = 0.0
-    m = len(pts_1d)
-    step = max(1, budget // m)
-    for a in range(0, m, step):
-        xs = pts_1d[a : a + step]
-        mesh = np.meshgrid(xs, pts_1d, indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=1)
-        diff = np.abs(f(pts) - g(pts)) ** p
-        diff = diff.reshape(len(xs), m)
-        total += float(wts_1d[a : a + step] @ diff @ wts_1d)
-    return total ** (1.0 / p)
+    return _grid_error(f, g, p, [pts_1d] * d, [wts_1d] * d)
 
 
 def lp_error_mc(f: Callable, g: Callable, p: float, d: int,
@@ -395,23 +372,24 @@ class AuditReport:
         return not self.violations
 
 
+def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
+                      indices: Sequence[Sequence[int]] | None = None,
+                      nodes_per_cell: int = 24) -> np.ndarray:
+    """L2 norms of the mixed derivative over the hat supports of one level.
+
+    One ``support_rule`` quadrature and one call of ``mixed_derivative``
+    serve every node of the level; values come in ``index_set`` order.
+    """
+    pts, w = support_rule(level, indices, nodes_per_cell)
+    vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(w.shape)
+    return np.sqrt(np.sum(w * vals ** 2, axis=1))
+
+
 def local_seminorm_2(mixed_derivative: Callable, g: GridIndex,
                      nodes_per_cell: int = 24) -> float:
     """L2 norm of the mixed derivative over the support of one hat."""
-    base, base_w = np.polynomial.legendre.leggauss(nodes_per_cell)
-    pts_1d, wts_1d = [], []
-    for (lo, hi), node in zip(g.support(), g.node()):
-        cells = [(lo, node), (node, hi)]
-        p = np.concatenate([(b - a) / 2 * base + (a + b) / 2 for a, b in cells])
-        w = np.concatenate([(b - a) / 2 * base_w for a, b in cells])
-        pts_1d.append(p)
-        wts_1d.append(w)
-    mesh = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    wmesh = np.meshgrid(*wts_1d, indexing="ij")
-    w = np.prod(np.stack([m.ravel() for m in wmesh], axis=0), axis=0)
-    vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(-1)
-    return float(math.sqrt(np.sum(w * vals ** 2)))
+    indices = [[i] for i in g.index]
+    return float(local_seminorms_2(mixed_derivative, g.level, indices, nodes_per_cell)[0])
 
 
 def coefficient_bound_audit(func: KorobovTestFunction, n: int,
@@ -427,20 +405,18 @@ def coefficient_bound_audit(func: KorobovTestFunction, n: int,
     smap = surplus_coefficients(func.f, n, d)
     checks = []
     violations = []
-    for g, v in smap.items():
-        v = v * scale
-        l1 = sum(g.level)
+    for level in smap.levels():
+        l1 = sum(level)
         bound_inf = 2.0 ** (-d - 2 * l1) * func.seminorm_inf
-        bound_2 = (
-            2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1)
-            * local_seminorm_2(func.mixed_derivative, g)
-        )
-        check = CoefficientCheck(g, v, bound_inf, bound_2)
-        checks.append(check)
-        if check.ratio_inf > 1.0 + 1e-12:
-            violations.append((g, "inf", check.ratio_inf))
-        if check.ratio_2 > 1.0 + 1e-12:
-            violations.append((g, "2", check.ratio_2))
+        seminorms = local_seminorms_2(func.mixed_derivative, level)
+        for g, seminorm in zip(index_set(level), seminorms.tolist()):
+            bound_2 = 2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1) * seminorm
+            check = CoefficientCheck(g, smap[g] * scale, bound_inf, bound_2)
+            checks.append(check)
+            if check.ratio_inf > 1.0 + 1e-12:
+                violations.append((g, "inf", check.ratio_inf))
+            if check.ratio_2 > 1.0 + 1e-12:
+                violations.append((g, "2", check.ratio_2))
     return AuditReport(
         function=func.name,
         d=d,
@@ -455,10 +431,12 @@ def coefficient_bound_audit(func: KorobovTestFunction, n: int,
 def dual_oracle_gap(func: KorobovTestFunction, n: int) -> float:
     """Max |stencil surplus - integral-formula surplus| over the index set."""
     smap = surplus_coefficients(func.f, n, func.d)
-    return max(
-        abs(v - integral_coefficient(func.mixed_derivative, g))
-        for g, v in smap.items()
-    )
+    gap = 0.0
+    for level in smap.levels():
+        values = np.array([smap[g] for g in index_set(level)])
+        quadrature = integral_coefficients(func.mixed_derivative, level)
+        gap = max(gap, float(np.abs(values - quadrature).max()))
+    return gap
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def cmd_coeffs(args) -> int:
     if args.quadrature:
         for entry in doc["entries"]:
             g = sparsegrid.GridIndex(tuple(entry["level"]), tuple(entry["index"]))
-            entry["quadrature"] = analysis.integral_coefficient(func.mixed_derivative, g)
+            entry["quadrature"] = sparsegrid.integral_coefficient(func.mixed_derivative, g)
     doc["function"] = func.name
     write_out(json_text(doc), args.out)
     return EXIT_OK
@@ -274,9 +274,7 @@ def cmd_convergence(args) -> int:
         if len(keep) >= 2:
             x = np.log2([kk[0] for kk in keep])
             y = np.log2([kk[1] for kk in keep]) - 3.0 * (func.d - 1) * np.log2(x)
-            running = float(np.linalg.lstsq(
-                np.vstack([x, np.ones_like(x)]).T, y, rcond=None
-            )[0][0])
+            running, _ = analysis._fit_slope(x, y)
         rows.append([row.n, row.N, row.error_inf, row.error_2, running])
     comments = [
         f"function={func.name} d={func.d} p={args.p or 'inf'} "

@@ -19,8 +19,8 @@ O(d N) and the memory O(N).  The zero boundary is checked, not assumed:
 boundary points the stencil reads, so the build costs N plus
 2d * grid_count(n, d - 1) evaluations of ``f``.  The integral
 representation of the coefficients (hat kernel against the order-2d mixed
-derivative) is kept in ``integral_coefficient`` purely as an independent
-check.
+derivative) is kept in ``integral_coefficients`` (one level at a time) and
+``integral_coefficient`` (one node) purely as an independent check.
 
 The classical evaluators accept points of [0,1]^d only: ``evaluate``,
 ``evaluate_batch``, ``evaluate_grid`` and ``chebyshev_expansion`` reject a
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -128,11 +129,19 @@ def enumerate_levels(n: int, d: int) -> list[Level]:
     return out
 
 
+def _check_level(level: Sequence[int]) -> Level:
+    level = tuple(int(l) for l in level)
+    for l in level:
+        if l < 1:
+            raise ValueError(f"level component {l} < 1")
+    return level
+
+
 def index_set(level: Sequence[int]) -> list[GridIndex]:
     """All odd index vectors of one level, lexicographic."""
-    level = tuple(int(l) for l in level)
+    level = _check_level(level)
     ranges = [range(1, 2 ** l, 2) for l in level]
-    # odd and in [1, 2^l - 1] by construction; a level below 1 yields nothing
+    # odd and in [1, 2^l - 1] by construction
     return [GridIndex._trusted(level, idx) for idx in itertools.product(*ranges)]
 
 
@@ -166,6 +175,14 @@ class SurplusMap:
             .reshape([2 ** (l - 1) for l in level])
             for level in self.levels()
         }
+        for level, values in self._level_arrays.items():
+            finite = np.isfinite(values).reshape(-1)
+            if not finite.all():
+                g = index_set(level)[int(np.argmin(finite))]
+                raise ValueError(
+                    f"coefficient of level {list(g.level)} index {list(g.index)} is "
+                    f"{self.entries[g]!r}; every coefficient must be finite"
+                )
 
     @classmethod
     def _from_arrays(cls, d: int, n: int, arrays: dict[Level, np.ndarray]) -> "SurplusMap":
@@ -249,28 +266,45 @@ class SurplusMap:
     def evaluate_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Interpolant on the tensor grid axes[0] x ... x axes[d-1].
 
-        Factorises the per-level work along axes, which is much faster than
-        ``evaluate_batch`` on full product grids.
+        Sum factorisation over the level prefix tree (Bungartz and Griebel,
+        section 4): the partial sum below a prefix (l_0 .. l_{k-1}) is an
+        array with one coefficient axis per prefix level and one grid axis
+        per remaining coordinate.  Each child l_k contributes one gather of
+        its level-l_k cells along axis k, times that axis's hat, so every
+        (axis, level) cell and hat is computed once and only the n children
+        of the root write a full grid array.  The sums group by prefix
+        instead of running level by level, so values differ from a plain
+        per-level loop by rounding only.
         """
         if len(axes) != self.d:
             raise ValueError(f"need {self.d} axes")
         axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
         for j, a in enumerate(axes):
             _check_domain(a[:, None], f"axis {j} entry")
-        total = np.zeros(tuple(len(a) for a in axes))
-        for level, coeffs in self._arrays().items():
-            cells, phis = [], []
-            for j, l in enumerate(level):
-                cell, hat_j = _axis_cells(axes[j], l)
-                phis.append(hat_j)
-                cells.append(cell)
-            contrib = coeffs[np.ix_(*cells)]
-            for j, phi in enumerate(phis):
-                shape = [1] * self.d
-                shape[j] = -1
-                contrib = contrib * phi.reshape(shape)
-            total += contrib
-        return total
+        d, arrays = self.d, self._arrays()
+        sizes = [len(a) for a in axes]
+        cells = [[_axis_cells(a, l) for l in range(1, self.n + 1)] for a in axes]
+
+        def contract(prefix: Level, budget: int) -> np.ndarray:
+            # (prefix cells, axis k, remaining grid axes) sum over the subtree
+            k = len(prefix)
+            outer = math.prod(2 ** (l - 1) for l in prefix)
+            inner = math.prod(sizes[k + 1:])
+            out = np.empty((outer, sizes[k], inner))
+            buf = np.empty_like(out)
+            for l in range(1, budget - (d - 1 - k) + 1):
+                level = prefix + (l,)
+                sub = arrays[level] if k + 1 == d else contract(level, budget - l)
+                cell, hat_k = cells[k][l - 1]
+                target = out if l == 1 else buf
+                # the cells are in range; "clip" lets take write into target unbuffered
+                np.take(sub.reshape(outer, -1, inner), cell, axis=1, out=target, mode="clip")
+                target *= hat_k[:, None]
+                if l > 1:
+                    out += buf
+            return out
+
+        return contract((), self.n + d - 1).reshape(sizes)
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -475,29 +509,69 @@ def chebyshev_expansion(s: SurplusMap, x) -> list[ChebyshevTerm]:
     return terms
 
 
-def integral_coefficient(mixed_derivative: Callable, g: GridIndex,
-                         nodes_per_cell: int = 32) -> float:
-    """Surplus of ``g`` via the integral representation (check oracle).
+def support_rule(level: Sequence[int], indices: Sequence[Sequence[int]] | None = None,
+                 nodes_per_cell: int = 32, kernel: bool = False):
+    """Two-cell Gauss-Legendre rules on the supports of the hats of one level.
+
+    The nodes are the product of ``indices`` (one list of odd indices per
+    axis, all of the level by default), in ``index_set`` order.  Along each
+    axis the support of hat (l, i) splits at its node into two cells of
+    ``nodes_per_cell`` points each, so the kink of the hat falls between
+    cells; a node's rule is the tensor product of its axis rules.  Returns
+    the points as a (K * Q, d) array, K nodes of Q points each, and the
+    weights as a (K, Q) array.  With ``kernel`` every axis weight carries the
+    integral kernel -2^-(l+1) phi_{l,i}(x) of the surplus representation.
+    """
+    level = _check_level(level)
+    if indices is None:
+        indices = [range(1, 2 ** l, 2) for l in level]
+    if len(indices) != len(level):
+        raise ValueError("need one index list per level component")
+    d = len(level)
+    base, base_w = np.polynomial.legendre.leggauss(nodes_per_cell)
+    axis_pts, axis_wts = [], []
+    for j, (l, idx) in enumerate(zip(level, indices)):
+        odd = np.asarray(idx, dtype=np.int64)
+        if ((odd < 1) | (odd > 2 ** l - 1) | (odd % 2 == 0)).any():
+            raise ValueError(f"indices {odd.tolist()} invalid for level {l} (odd, in [1, 2^l-1])")
+        h = 2.0 ** -l
+        i = odd.astype(float)[:, None]
+        node = i * h
+        # cells (node - h, node) and (node, node + h) on every row
+        p = np.concatenate([h / 2 * base + (node - h / 2), h / 2 * base + (node + h / 2)], axis=1)
+        w = np.broadcast_to(np.concatenate([h / 2 * base_w] * 2), p.shape)
+        if kernel:
+            w = w * (-(2.0 ** -(l + 1)) * hat(p / h - i))
+        # axis j of the nodes and axis d + j of the points
+        shape = [1] * (2 * d)
+        shape[j], shape[d + j] = p.shape
+        axis_pts.append(p.reshape(shape))
+        axis_wts.append(w.reshape(shape))
+    full = np.broadcast_shapes(*(a.shape for a in axis_pts))
+    pts = np.stack([np.broadcast_to(a, full) for a in axis_pts], axis=-1)
+    weight = axis_wts[0]
+    for w in axis_wts[1:]:
+        weight = weight * w
+    return pts.reshape(-1, d), weight.reshape(math.prod(full[:d]), -1)
+
+
+def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
+                          indices: Sequence[Sequence[int]] | None = None,
+                          nodes_per_cell: int = 32) -> np.ndarray:
+    """Surpluses of one level via the integral representation (check oracle).
 
     Integrates prod_j(-2^{-(l_j+1)} phi_{l_j,i_j}(x_j)) times the order-2d
-    mixed derivative over the support, with composite Gauss-Legendre on the
-    two cells per coordinate (the hat kernel has a kink at the node).
-    ``mixed_derivative`` must accept an (m, d) array.
+    mixed derivative over each hat's support with ``support_rule``, one call
+    of ``mixed_derivative`` (on an (m, d) array) for the whole level.
+    Returns one value per node, in ``index_set`` order.
     """
-    base, base_w = np.polynomial.legendre.leggauss(nodes_per_cell)
-    pts_1d, wts_1d = [], []
-    for l, i in zip(g.level, g.index):
-        h = 2.0 ** -l
-        node = i * h
-        cells = [(node - h, node), (node, node + h)]
-        p = np.concatenate([(b - a) / 2 * base + (a + b) / 2 for a, b in cells])
-        w = np.concatenate([(b - a) / 2 * base_w for a, b in cells])
-        kern = -(2.0 ** -(l + 1)) * hat(p / h - i)
-        pts_1d.append(p)
-        wts_1d.append(w * kern)
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([gr.ravel() for gr in grids], axis=1)
-    wgrid = np.meshgrid(*wts_1d, indexing="ij")
-    w = np.prod(np.stack([gr.ravel() for gr in wgrid], axis=0), axis=0)
-    vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(-1)
-    return float(np.sum(w * vals))
+    pts, w = support_rule(level, indices, nodes_per_cell, kernel=True)
+    vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(w.shape)
+    return np.sum(w * vals, axis=1)
+
+
+def integral_coefficient(mixed_derivative: Callable, g: GridIndex,
+                         nodes_per_cell: int = 32) -> float:
+    """Surplus of ``g`` via the integral representation (check oracle)."""
+    indices = [[i] for i in g.index]
+    return float(integral_coefficients(mixed_derivative, g.level, indices, nodes_per_cell)[0])

@@ -9,6 +9,7 @@ import scipy.special
 
 from qkorobov.analysis import (
     FACTORS,
+    _grid_error,
     coefficient_bound_audit,
     convergence_study,
     corpus,
@@ -17,12 +18,68 @@ from qkorobov.analysis import (
     dual_oracle_gap,
     generic_point,
     lambert_w,
+    local_seminorm_2,
+    local_seminorms_2,
     lp_error,
     lp_error_mc,
     resource_estimate,
     separable_function,
 )
-from qkorobov.sparsegrid import GridIndex, surplus_coefficients
+from qkorobov.sparsegrid import (
+    GridIndex,
+    enumerate_levels,
+    index_set,
+    integral_coefficient,
+    integral_coefficients,
+    surplus_coefficients,
+)
+
+
+def reference_support_sum(integrand, g, nodes_per_cell, kernel):
+    """Sum of weight * integrand over the two-cell Gauss rule of one hat.
+
+    Plain numpy, one node at a time: per axis the support splits at the node
+    into two cells of ``nodes_per_cell`` Gauss-Legendre points; ``kernel``
+    multiplies each axis weight by -2^-(l+1) phi(x 2^l - i).
+    """
+    base, base_w = np.polynomial.legendre.leggauss(nodes_per_cell)
+    pts_1d, wts_1d = [], []
+    for l, i in zip(g.level, g.index):
+        h = 2.0 ** -l
+        cells = [((i - 1) * h, i * h), (i * h, (i + 1) * h)]
+        p = np.concatenate([(b - a) / 2 * base + (a + b) / 2 for a, b in cells])
+        w = np.concatenate([(b - a) / 2 * base_w for a, b in cells])
+        if kernel:
+            w = w * -(2.0 ** -(l + 1)) * np.maximum(0.0, 1.0 - np.abs(p / h - i))
+        pts_1d.append(p)
+        wts_1d.append(w)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*pts_1d, indexing="ij")], axis=1)
+    w = np.prod(np.stack([m.ravel() for m in np.meshgrid(*wts_1d, indexing="ij")]), axis=0)
+    return float(np.sum(w * integrand(pts)))
+
+
+def reference_violations(fn, n, scale):
+    """The audit's violation list by a plain loop over nodes."""
+    out = []
+    for g, v in surplus_coefficients(fn.f, n, fn.d).items():
+        l1 = sum(g.level)
+        seminorm = math.sqrt(reference_support_sum(
+            lambda X: fn.mixed_derivative(X) ** 2, g, 24, kernel=False))
+        bounds = {
+            "inf": 2.0 ** (-fn.d - 2 * l1) * fn.seminorm_inf,
+            "2": 2.0 ** -fn.d * (2 / 3) ** (fn.d / 2) * 2.0 ** (-1.5 * l1) * seminorm,
+        }
+        for which, bound in bounds.items():
+            ratio = abs(v * scale) / bound if bound else (0.0 if v == 0 else math.inf)
+            if ratio > 1.0 + 1e-12:
+                out.append((g, which, ratio))
+    return out
+
+
+def reference_grid(smap, axes):
+    """The interpolant on a tensor grid, point by point."""
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.d)
+    return np.array([smap.evaluate(x) for x in pts]).reshape([len(a) for a in axes])
 
 
 def boundary_sample(d, per_face=9):
@@ -136,6 +193,41 @@ class TestLpError:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             lp_error(lambda X: X[:, 0], lambda X: X[:, 0], 1.5, 1, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_map_and_callable_share_the_grid_path(self, d):
+        # a SurplusMap and its evaluate_batch differ only in how g is read
+        fn = corpus_function("prod-quad", d)
+        smap = surplus_coefficients(fn.f, 3, d)
+        for p in ("inf", 2, 3):
+            if d == 3 and p != "inf":
+                continue  # Monte Carlo, no grid
+            by_grid = lp_error(fn.f, smap, p, d, 3)
+            by_points = lp_error(fn.f, smap.evaluate_batch, p, d, 3)
+            assert by_grid == pytest.approx(by_points, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_cover_the_grid_once(self, d):
+        # every block size gives the unchunked value, with uneven weights too
+        rng = np.random.default_rng(d)
+        fn = corpus_function("prod-quad", d)
+        smap = surplus_coefficients(fn.f, 3, d)
+        axes = [np.sort(rng.random(7 + j)) for j in range(d)]
+        weights = [rng.random(len(a)) for a in axes]
+        tail = math.prod(len(a) for a in axes[1:])
+        for g in (smap, smap.evaluate_batch):
+            for p, w in ((math.inf, None), (2.0, weights)):
+                whole = _grid_error(fn.f, g, p, axes, w)
+                for rows in (1, 2, 3):
+                    chunked = _grid_error(fn.f, g, p, axes, w, budget=rows * tail)
+                    assert chunked == pytest.approx(whole, rel=1e-13)
+        power = np.abs(fn.f(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+                            .reshape(-1, d)).reshape([len(a) for a in axes])
+                       - reference_grid(smap, axes)) ** 2
+        for w in reversed(weights):
+            power = power @ w
+        assert _grid_error(fn.f, smap, 2.0, axes, weights, budget=tail) == pytest.approx(
+            math.sqrt(power), rel=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +351,70 @@ class TestCoefficientAudit:
         assert report.max_ratio_inf == 0.0
 
 
+class TestLevelQuadrature:
+    """Level-batched quadratures against one-node forms and a numpy reference."""
+
+    @pytest.mark.parametrize("fn", [fn for fn in corpus() if fn.d <= 2],
+                             ids=lambda fn: f"{fn.name}-d{fn.d}")
+    def test_batched_equals_one_node(self, fn):
+        square = lambda X: fn.mixed_derivative(X) ** 2
+        for level in enumerate_levels(5, fn.d):
+            seminorms = local_seminorms_2(fn.mixed_derivative, level)
+            coeffs = integral_coefficients(fn.mixed_derivative, level)
+            nodes = index_set(level)
+            assert seminorms.shape == coeffs.shape == (len(nodes),)
+            for g, seminorm, coeff in zip(nodes, seminorms, coeffs):
+                one = local_seminorm_2(fn.mixed_derivative, g)
+                assert seminorm == pytest.approx(one, rel=1e-13, abs=0)
+                ref = math.sqrt(reference_support_sum(square, g, 24, kernel=False))
+                assert seminorm == pytest.approx(ref, rel=1e-13, abs=0)
+                one = integral_coefficient(fn.mixed_derivative, g)
+                assert coeff == pytest.approx(one, rel=1e-13, abs=1e-300)
+                ref = reference_support_sum(fn.mixed_derivative, g, 32, kernel=True)
+                assert coeff == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+    def test_node_subset(self):
+        fn = corpus_function("prod-sin", 2)
+        got = integral_coefficients(fn.mixed_derivative, (3, 2), [[5, 1], [3]])
+        want = [integral_coefficient(fn.mixed_derivative, GridIndex((3, 2), i))
+                for i in ((5, 3), (1, 3))]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("level, indices", [
+        ((2, 0), None), ((2,), [[2]]), ((2,), [[5]]), ((2, 1), [[1]]),
+    ])
+    def test_invalid_nodes_rejected(self, level, indices):
+        dd = corpus_function("prod-quad", len(level)).mixed_derivative
+        with pytest.raises(ValueError, match="level component|invalid for level|one index list"):
+            integral_coefficients(dd, level, indices)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.05, 1.1, 2.0])
+    def test_scaled_audit_violations(self, scale):
+        found = 0
+        for fn in corpus():
+            if fn.d > 2:
+                continue
+            for n in (1, 3, 4):
+                got = coefficient_bound_audit(fn, n, scale=scale).violations
+                want = reference_violations(fn, n, scale)
+                assert [(g, w) for g, w, _ in got] == [(g, w) for g, w, _ in want]
+                for (_, _, a), (_, _, b) in zip(got, want):
+                    assert a == pytest.approx(b, rel=1e-12)
+                found += len(got)
+        assert (found > 0) == (scale > 1.0)
+
+
 class TestDualOracle:
+    def test_gap_is_largest_node_difference(self):
+        for fn in corpus():
+            if fn.d > 2:
+                continue
+            for n in (1, 3):
+                smap = surplus_coefficients(fn.f, n, fn.d)
+                want = max(abs(v - reference_support_sum(fn.mixed_derivative, g, 32, True))
+                           for g, v in smap.items())
+                assert dual_oracle_gap(fn, n) == pytest.approx(want, rel=1e-9, abs=1e-18)
+
     def test_gaps_within_tolerance(self):
         for fn in corpus():
             if fn.d > 2:

@@ -124,6 +124,15 @@ class TestConvergence:
         last = data.decode().strip().splitlines()[-1]
         assert last.endswith(",")  # slope_running column empty
 
+    def test_running_slope_ends_at_fitted_slope(self, tmp_path):
+        argv = ["convergence", "--fn", "prod-sin", "--d", "2", "--p", "inf",
+                "--n-range", "2..5"]
+        _, data = run_cli(argv, tmp_path, "conv.csv")
+        running = [line.split(",")[-1] for line in data.decode().splitlines()[2:]]
+        _, doc = run_cli(argv + ["--format", "json"], tmp_path, "conv.json")
+        assert running[0] == ""
+        assert float(running[-1]) == json.loads(doc)["slope"]
+
     def test_json_slope(self, tmp_path):
         code, data = run_cli(
             ["convergence", "--fn", "prod-quad", "--d", "1", "--p", "inf",

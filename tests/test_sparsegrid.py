@@ -1,5 +1,6 @@
 """Hierarchical basis, surplus coefficients, and the Chebyshev expansion."""
 
+import functools
 import itertools
 import json
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkorobov.analysis import corpus_function
+from qkorobov.lcu import evaluate_via_circuit
 from qkorobov.sparsegrid import (
     BATCH_ROWS,
     ChebyshevTerm,
@@ -62,6 +64,26 @@ def reference_evaluate_batch(s, points):
             phi *= np.maximum(0.0, 1.0 - np.abs(t - i))
             cell.append((i - 1) // 2)
         total += np.where(ok, coeffs[tuple(cell)] * phi, 0.0)
+    return total
+
+
+def reference_evaluate_grid(s, axes):
+    """The interpolant on a tensor grid by a plain loop over levels."""
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    total = np.zeros([len(a) for a in axes])
+    for level in s.levels():
+        coeffs = np.array([s[g] for g in index_set(level)]).reshape(
+            [2 ** (l - 1) for l in level])
+        cells, phis = [], []
+        for a, l in zip(axes, level):
+            t = a * 2.0 ** l
+            i = np.clip(2 * np.floor(t / 2.0).astype(np.int64) + 1, 1, 2 ** l - 1)
+            cells.append((i - 1) // 2)
+            phis.append(np.maximum(0.0, 1.0 - np.abs(t - i)))
+        contrib = coeffs[np.ix_(*cells)]
+        for j, phi in enumerate(phis):
+            contrib = contrib * phi.reshape([-1 if k == j else 1 for k in range(s.d)])
+        total += contrib
     return total
 
 
@@ -135,6 +157,11 @@ class TestEnumeration:
         assert [g.index for g in index_set((1,))] == [(1,)]
         assert [g.index for g in index_set((2,))] == [(1,), (3,)]
         assert [g.index for g in index_set((2, 2))] == [(1, 1), (1, 3), (3, 1), (3, 3)]
+
+    @pytest.mark.parametrize("level", [(-1,), (0,), (2, 0), (3, -2, 1)])
+    def test_index_set_rejects_level_below_one(self, level):
+        with pytest.raises(ValueError, match=r"level component -?\d+ < 1"):
+            index_set(level)
 
     def test_index_set_cardinality(self):
         for level in [(3,), (2, 3), (1, 2, 2)]:
@@ -351,6 +378,115 @@ class TestInterpolant:
         np.testing.assert_allclose(batch, single, atol=1e-15)
 
 
+def sin_product(X):
+    return np.prod(np.sin(np.pi * X), axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_map(kind, n, d):
+    f = corpus_function("prod-quad", d).f if kind == "quad" else sin_product
+    return surplus_coefficients(f, n, d)
+
+
+def coeff_scale(s):
+    return sum(abs(v) for _, v in s.items())
+
+
+class TestGrid:
+    """The axis-by-axis ``evaluate_grid`` against the per-level loop."""
+
+    @pytest.mark.parametrize("d, n_max", [(1, 6), (2, 6), (3, 6)])
+    def test_matches_level_loop(self, d, n_max):
+        rng = np.random.default_rng(d)
+        for n in range(1, n_max + 1):
+            size = 9 if d == 3 else 33
+            random = [rng.random(size) for _ in range(d)]
+            dyadic = [rng.integers(0, 2 ** (n + 1) + 1, size) / 2.0 ** (n + 1) for _ in range(d)]
+            ends = [np.concatenate([[0.0, 1.0], rng.random(size - 2)]) for _ in range(d)]
+            mixed = [random[0], dyadic[1 % d], ends[2 % d]][:d]
+            for kind in ("quad", "sin"):
+                s = corpus_map(kind, n, d)
+                for axes in (random, dyadic, ends, mixed):
+                    got = s.evaluate_grid(axes)
+                    want = reference_evaluate_grid(s, axes)
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-14 * coeff_scale(s)
+
+    def test_boundary_axes_give_zero(self):
+        s = corpus_map("sin", 4, 2)
+        grid = s.evaluate_grid([[0.0, 0.3, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(grid, np.zeros((3, 2)))
+
+
+def coordinates(n):
+    """Random, dyadic (levels up to n + 1) and boundary coordinates."""
+    dyadic = st.integers(1, n + 1).flatmap(
+        lambda level: st.integers(0, 2 ** level).map(lambda k: k / 2.0 ** level))
+    return st.one_of(st.floats(0.0, 1.0), dyadic, st.sampled_from([0.0, 1.0]))
+
+
+def agreement_cases(d_max, n_max):
+    return st.tuples(
+        st.sampled_from(["quad", "sin"]), st.integers(1, d_max), st.integers(1, n_max),
+    ).flatmap(lambda c: st.tuples(
+        st.just(c),
+        st.lists(st.lists(coordinates(c[2]), min_size=c[1], max_size=c[1]),
+                 min_size=1, max_size=4),
+    ))
+
+
+OUT_OF_DOMAIN = st.one_of(
+    st.floats(max_value=-1e-300), st.floats(min_value=1.0, exclude_min=True),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+class TestEvaluatorsAgree:
+    """Scalar, batch, grid and circuit values on one point set."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(agreement_cases(3, 5))
+    def test_classical_evaluators(self, case):
+        (kind, d, n), points = case
+        s = corpus_map(kind, n, d)
+        pts = np.array(points)
+        tol = 1e-14 * coeff_scale(s)
+        scalar = np.array([s.evaluate(x) for x in pts])
+        np.testing.assert_allclose(s.evaluate_batch(pts), scalar, rtol=0, atol=tol)
+        for x, value in zip(pts, scalar):
+            grid = s.evaluate_grid([[c] for c in x])
+            assert abs(grid.item() - value) <= tol
+        # the full grid over the points' coordinates holds every point
+        grid = s.evaluate_grid(pts.T)
+        diagonal = grid[tuple(np.arange(len(pts)) for _ in range(d))]
+        np.testing.assert_allclose(diagonal, scalar, rtol=0, atol=tol)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(agreement_cases(2, 3))
+    def test_circuit(self, case):
+        (kind, d, n), points = case
+        s = corpus_map(kind, n, d)
+        for x in np.array(points):
+            value, _ = evaluate_via_circuit(s, x)
+            assert abs(value - s.evaluate(x)) <= 1e-12 * max(1.0, coeff_scale(s))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 2), st.integers(0, 1), coordinates(3), OUT_OF_DOMAIN)
+    def test_out_of_domain_rejected(self, d, j, inside, outside):
+        s = corpus_map("quad", 3, d)
+        x = np.full(d, inside)
+        x[j % d] = outside
+        entries = (
+            lambda: s.evaluate(x),
+            lambda: s.evaluate_batch(x[None, :]),
+            lambda: s.evaluate_grid([[c] for c in x]),
+            lambda: evaluate_via_circuit(s, x),
+        )
+        for entry in entries:
+            with pytest.raises(ValueError, match=r"is not a point of \[0,1\]\^d"):
+                entry()
+
+
 OUTSIDE = [(-0.5, 0.3), (np.nan, 0.3), (1.5, 0.3), (0.3, np.inf), (0.2, -1e-300)]
 
 
@@ -479,6 +615,20 @@ class TestJsonRoundTrip:
         assert back.d == s.d and back.n == s.n
         for g, v in s.items():
             assert back[g] == v  # exact doubles via repr round trip
+
+    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_coefficient_rejected(self, bad):
+        s = surplus_coefficients(PROD_QUAD_1, 2, 1)
+        text = s.dumps().replace('"value": 0.0625', f'"value": {bad}', 1)
+        assert bad in text
+        with pytest.raises(ValueError, match=r"level \[2\] index \[1\] is .*must be finite"):
+            SurplusMap.loads(text)
+
+    def test_non_finite_coefficient_rejected_at_construction(self):
+        entries = dict(surplus_coefficients(PROD_QUAD_2, 2, 2).items())
+        entries[GridIndex((2, 1), (3, 1))] = float("inf")
+        with pytest.raises(ValueError, match=r"level \[2, 1\] index \[3, 1\] is inf"):
+            SurplusMap(2, 2, entries)
 
     def test_schema(self):
         s = surplus_coefficients(PROD_QUAD_2, 1, 2)
