@@ -31,8 +31,6 @@ from .sparsegrid import (
     hat,
     index_set,
     integral_coefficient,
-    locate_support,
-    scaled_hat,
     surplus_coefficients,
 )
 from .lcu import (

@@ -286,6 +286,23 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), 0.0
 
 
+def _slope_fits(rows: Sequence[ConvergenceRow], errors: Sequence[float | None], d: int):
+    """The rows a slope fit keeps, with their raw and log-corrected fits.
+
+    A row is kept when its error is above 1e-13 and N >= 2.  The raw fit is
+    log2(err) against log2(N); the corrected fit subtracts 3(d-1) log2(log2 N)
+    first, for the model err ~ c * N^s * log2(N)^{3(d-1)}.  Returns the kept
+    (N, error) pairs and the two (slope, stderr) fits, both None below two
+    kept rows.
+    """
+    keep = [(r.N, e) for r, e in zip(rows, errors) if e is not None and e > 1e-13 and r.N >= 2]
+    if len(keep) < 2:
+        return keep, None, None
+    x = np.log2([k[0] for k in keep])
+    y = np.log2([k[1] for k in keep])
+    return keep, _fit_slope(x, y), _fit_slope(x, y - 3.0 * (d - 1) * np.log2(x))
+
+
 def convergence_study(func: KorobovTestFunction, p, n_range: Sequence[int],
                       norms: Sequence[str] = ("inf", "2"),
                       seed: int = 0) -> ConvergenceStudy:
@@ -313,18 +330,10 @@ def convergence_study(func: KorobovTestFunction, p, n_range: Sequence[int],
         rows.append(ConvergenceRow(n, grid_count(n, func.d), err_inf, err_2, err_p))
 
     study = ConvergenceStudy(func.name, func.d, p, rows, None, None, None, None)
-    errs = study.errors_for_p()
-    keep = [
-        (r.N, e)
-        for r, e in zip(rows, errs)
-        if e is not None and e > 1e-13 and r.N >= 2
-    ]
-    if len(keep) >= 2:
-        x = np.log2([k[0] for k in keep])
-        y = np.log2([k[1] for k in keep])
-        study.raw_slope, _ = _fit_slope(x, y)
-        correction = 3.0 * (func.d - 1) * np.log2(x)
-        study.slope, study.slope_stderr = _fit_slope(x, y - correction)
+    keep, raw, corrected = _slope_fits(rows, study.errors_for_p(), func.d)
+    if corrected is not None:
+        study.raw_slope = raw[0]
+        study.slope, study.slope_stderr = corrected
         study.shape_constant = float(
             np.max([e * k ** 2 / np.log2(k) ** (3 * (func.d - 1)) for k, e in keep])
         )
@@ -392,17 +401,22 @@ def local_seminorm_2(mixed_derivative: Callable, g: GridIndex,
     return float(local_seminorms_2(mixed_derivative, g.level, indices, nodes_per_cell)[0])
 
 
-def coefficient_bound_audit(func: KorobovTestFunction, n: int,
+def _check_map(func: KorobovTestFunction, smap: SurplusMap) -> None:
+    if smap.d != func.d:
+        raise ValueError(f"surplus map of d={smap.d} for a function of d={func.d}")
+
+
+def coefficient_bound_audit(func: KorobovTestFunction, smap: SurplusMap,
                             scale: float = 1.0) -> AuditReport:
-    """Check both decay bounds for every surplus of ``func`` at level ``n``.
+    """Check both decay bounds for every surplus of ``smap``, the map of ``func``.
 
     ``scale`` multiplies the computed coefficients and exists as a test hook
     for forcing violations.  Bounds:
       |v| <= 2^(-d - 2||l||_1) * |f|_{2,inf}
       |v| <= 2^(-d) (2/3)^(d/2) 2^(-1.5||l||_1) * |f restricted to supp|_{2,2}
     """
+    _check_map(func, smap)
     d = func.d
-    smap = surplus_coefficients(func.f, n, d)
     checks = []
     violations = []
     for level in smap.levels():
@@ -420,7 +434,7 @@ def coefficient_bound_audit(func: KorobovTestFunction, n: int,
     return AuditReport(
         function=func.name,
         d=d,
-        n=n,
+        n=smap.n,
         checks=checks,
         max_ratio_inf=max((c.ratio_inf for c in checks), default=0.0),
         max_ratio_2=max((c.ratio_2 for c in checks), default=0.0),
@@ -428,9 +442,9 @@ def coefficient_bound_audit(func: KorobovTestFunction, n: int,
     )
 
 
-def dual_oracle_gap(func: KorobovTestFunction, n: int) -> float:
-    """Max |stencil surplus - integral-formula surplus| over the index set."""
-    smap = surplus_coefficients(func.f, n, func.d)
+def dual_oracle_gap(func: KorobovTestFunction, smap: SurplusMap) -> float:
+    """Max |stencil surplus of ``smap`` - integral-formula surplus of ``func``|."""
+    _check_map(func, smap)
     gap = 0.0
     for level in smap.levels():
         values = np.array([smap[g] for g in index_set(level)])

@@ -266,15 +266,8 @@ def cmd_convergence(args) -> int:
     errs = study.errors_for_p()
     rows = []
     for k, row in enumerate(study.rows):
-        running = None
-        keep = [
-            (r.N, e) for r, e in zip(study.rows[: k + 1], errs[: k + 1])
-            if e is not None and e > 1e-13 and r.N >= 2
-        ]
-        if len(keep) >= 2:
-            x = np.log2([kk[0] for kk in keep])
-            y = np.log2([kk[1] for kk in keep]) - 3.0 * (func.d - 1) * np.log2(x)
-            running, _ = analysis._fit_slope(x, y)
+        _, _, fit = analysis._slope_fits(study.rows[: k + 1], errs[: k + 1], func.d)
+        running = fit[0] if fit else None
         rows.append([row.n, row.N, row.error_inf, row.error_2, running])
     comments = [
         f"function={func.name} d={func.d} p={args.p or 'inf'} "
@@ -323,7 +316,7 @@ def cmd_resources(args) -> int:
             x = analysis.generic_point(d)
             terms = sparsegrid.chebyshev_expansion(smap, x)
             m = sum(1 for t in terms if t.weight != 0.0)
-            width = d + max(0, math.ceil(math.log2(m))) + 1 if m else 0
+            width = d + lcu.ancilla_count(m) + 1 if m else 0
             if not m or width > MAX_DENSE_WIDTH:
                 measured.append({"d": d, "n": n, "terms": m, "width": width,
                                  "feasible": False, "reason": "width beyond dense ceiling"})
@@ -361,8 +354,9 @@ def cmd_audit(args) -> int:
     failed = False
     for func in funcs:
         for n in range(1, n_max + 1):
-            audit = analysis.coefficient_bound_audit(func, n, scale=args.scale_coeffs)
-            gap = analysis.dual_oracle_gap(func, n)
+            smap = sparsegrid.surplus_coefficients(func.f, n, func.d)
+            audit = analysis.coefficient_bound_audit(func, smap, scale=args.scale_coeffs)
+            gap = analysis.dual_oracle_gap(func, smap)
             gap_tol = 1e-8 if func.d == 1 else 1e-6
             entry = {
                 "function": func.name, "d": func.d, "n": n,

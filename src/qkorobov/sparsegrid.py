@@ -26,9 +26,14 @@ The classical evaluators accept points of [0,1]^d only: ``evaluate``,
 ``evaluate_batch``, ``evaluate_grid`` and ``chebyshev_expansion`` reject a
 non-finite or out-of-domain coordinate with a ValueError.
 
-For a point inside the supports, each per-coordinate hat splits into
-Chebyshev polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+ P1(u), which is
-what ``chebyshev_expansion`` emits for the circuit pipeline.
+Every read of a map locates its hats with one kernel, ``_axis_cells``: for
+a coordinate x and a level l it gives the cell of the one hat whose support
+holds x, the hat value 1 - |u| and the local coordinate u in [-1, 1].
+``evaluate`` is a one-row ``evaluate_batch``; ``evaluate_grid`` and
+``chebyshev_expansion`` read the same per-(axis, level) table.  For a point
+inside the supports, each per-coordinate hat splits into Chebyshev
+polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+ P1(u), which is what
+``chebyshev_expansion`` emits for the circuit pipeline.
 """
 
 from __future__ import annotations
@@ -97,17 +102,6 @@ def hat(u):
     """The reference hat max(0, 1 - |u|); accepts scalars or arrays."""
     out = np.maximum(0.0, 1.0 - np.abs(np.asarray(u, dtype=float)))
     return out if out.ndim else float(out)
-
-
-def scaled_hat(g: GridIndex, x) -> float:
-    """Product of per-coordinate hats of ``g`` at the point ``x``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.d,):
-        raise ValueError(f"point of dimension {x.shape} does not match d={g.d}")
-    value = 1.0
-    for j, (l, i) in enumerate(zip(g.level, g.index)):
-        value *= hat(x[j] * 2.0 ** l - i)
-    return value
 
 
 def enumerate_levels(n: int, d: int) -> list[Level]:
@@ -207,22 +201,9 @@ class SurplusMap:
     def items(self):
         return self.entries.items()
 
-    def _arrays(self) -> dict[Level, np.ndarray]:
-        """Per-level dense coefficient arrays, axis j indexed by (i_j - 1) / 2."""
-        return self._level_arrays
-
     def evaluate(self, x) -> float:
-        """Value of the interpolant at one point of [0,1]^d."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.d:
-            raise ValueError(f"point of dimension {x.size} does not match d={self.d}")
-        _check_domain(x[None, :])
-        total = 0.0
-        for level in self.levels():
-            g = locate_support(level, x)
-            if g is not None:
-                total += self.entries[g] * scaled_hat(g, x)
-        return total
+        """Value of the interpolant at one point of [0,1]^d: one row of ``evaluate_batch``."""
+        return float(self.evaluate_batch(_point(x, self.d)[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorised interpolant values for an (m, d) array of points.
@@ -238,13 +219,13 @@ class SurplusMap:
         if points.ndim != 2 or points.shape[1] != self.d:
             raise ValueError("points must have shape (m, d)")
         _check_domain(points)
-        arrays, d = self._arrays(), self.d
+        arrays, d = self._level_arrays, self.d
         total = np.zeros(points.shape[0])
 
         def walk(columns, block, prefix: Level, budget: int, phi, flat):
             j = len(prefix)
             for l in range(1, budget - (d - 1 - j) + 1):
-                cell, hat_j = _axis_cells(columns[j], l)
+                cell, hat_j = _axis_cells(columns[j], l)[:2]  # u is not held down the walk
                 if j:
                     phi_l, flat_l = phi * hat_j, flat * 2 ** (l - 1) + cell
                 else:
@@ -281,9 +262,9 @@ class SurplusMap:
         axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
         for j, a in enumerate(axes):
             _check_domain(a[:, None], f"axis {j} entry")
-        d, arrays = self.d, self._arrays()
+        d, arrays = self.d, self._level_arrays
         sizes = [len(a) for a in axes]
-        cells = [[_axis_cells(a, l) for l in range(1, self.n + 1)] for a in axes]
+        cells = _cell_table(axes, self.n)
 
         def contract(prefix: Level, budget: int) -> np.ndarray:
             # (prefix cells, axis k, remaining grid axes) sum over the subtree
@@ -295,7 +276,7 @@ class SurplusMap:
             for l in range(1, budget - (d - 1 - k) + 1):
                 level = prefix + (l,)
                 sub = arrays[level] if k + 1 == d else contract(level, budget - l)
-                cell, hat_k = cells[k][l - 1]
+                cell, hat_k, _ = cells[k][l - 1]
                 target = out if l == 1 else buf
                 # the cells are in range; "clip" lets take write into target unbuffered
                 np.take(sub.reshape(outer, -1, inner), cell, axis=1, out=target, mode="clip")
@@ -345,17 +326,33 @@ def _check_domain(points: np.ndarray, row_name: str = "row") -> None:
         )
 
 
-def _axis_cells(x: np.ndarray, l: int):
-    """Cell (i - 1) / 2 and hat value of level ``l`` at coordinates ``x`` in [0, 1].
+def _point(x, d: int) -> np.ndarray:
+    """One point of [0,1]^d as a flat array; a wrong dimension or domain raises."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != d:
+        raise ValueError(f"point of dimension {x.size} does not match d={d}")
+    _check_domain(x[None, :])
+    return x
 
-    The odd index i = 2 floor(x 2^(l-1)) + 1 has the support that holds x, and
-    x 2^l - i = 2 frac(x 2^(l-1)) - 1 exactly.  At x = 1 the index leaves the
-    level: the cell is clipped to the last one, where the hat is 0.
+
+def _axis_cells(x: np.ndarray, l: int):
+    """Cell (i - 1) / 2, hat and local coordinate u of level ``l`` at ``x`` in [0, 1].
+
+    This is the one place that locates hats.  The odd index
+    i = 2 floor(x 2^(l-1)) + 1 has the support that holds x, and
+    u = x 2^l - i = 2 frac(x 2^(l-1)) - 1 exactly, so the hat is 1 - |u|.
+    At x = 1 the index leaves the level: the cell is clipped to the last
+    one, where the hat is 0.
     """
     q = x * 2.0 ** (l - 1)
     whole = np.floor(q)
-    hat = 1.0 - np.abs(2.0 * (q - whole) - 1.0)
-    return np.minimum(whole, 2 ** (l - 1) - 1).astype(np.int64), hat
+    u = 2.0 * (q - whole) - 1.0
+    return np.minimum(whole, 2 ** (l - 1) - 1).astype(np.int64), 1.0 - np.abs(u), u
+
+
+def _cell_table(axes: Sequence[np.ndarray], n: int):
+    """``_axis_cells`` of every axis and level: entry [j][l - 1] holds level l on axis j."""
+    return [[_axis_cells(a, l) for l in range(1, n + 1)] for a in axes]
 
 
 def _level_nodes(level: Level) -> np.ndarray:
@@ -439,26 +436,6 @@ def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
     return SurplusMap._from_arrays(d, n, arrays)
 
 
-def locate_support(level: Sequence[int], x) -> GridIndex | None:
-    """The unique level-``level`` node whose open support contains ``x``.
-
-    Returns None when some coordinate sits exactly on an even node of the
-    level (all hats of the level vanish there, boundary included).
-    """
-    level = tuple(int(l) for l in level)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != len(level):
-        raise ValueError("point dimension does not match level vector")
-    index = []
-    for l, xj in zip(level, x):
-        t = xj * 2.0 ** l
-        i = 2 * int(np.floor(t / 2.0)) + 1
-        if abs(t - i) >= 1.0 or i > 2 ** l - 1:
-            return None
-        index.append(i)
-    return GridIndex(level, tuple(index))
-
-
 @dataclass(frozen=True)
 class ChebyshevTerm:
     """One signed product term weight * prod_j P_{k_j}(u_j) of the expansion.
@@ -482,19 +459,21 @@ def chebyshev_expansion(s: SurplusMap, x) -> list[ChebyshevTerm]:
     ``s.evaluate(x)``; only levels whose support contains x contribute, each
     with 2^d terms.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != s.d:
-        raise ValueError(f"point of dimension {x.size} does not match d={s.d}")
-    _check_domain(x[None, :])
+    x = _point(x, s.d)
+    table = [
+        [(int(cell[0]), float(u[0]), bool(hat_j[0] > 0.0)) for cell, hat_j, u in axis]
+        for axis in _cell_table(x[:, None], s.n)
+    ]
     terms: list[ChebyshevTerm] = []
     for level in s.levels():
-        g = locate_support(level, x)
-        if g is None:
+        picks = [table[j][l - 1] for j, l in enumerate(level)]
+        # x on a grid line of the level (boundary included): every hat is 0
+        if not all(inside for _, _, inside in picks):
             continue
-        v = s.entries[g]
-        u = tuple(
-            float(xj * 2.0 ** l - i) for xj, l, i in zip(x, g.level, g.index)
-        )
+        cell = tuple(c for c, _, _ in picks)
+        v = s._level_arrays[level][cell].item()
+        u = tuple(uj for _, uj, _ in picks)
+        g = GridIndex._trusted(level, tuple(2 * c + 1 for c in cell))
         positive = [uj >= 0.0 for uj in u]  # sgn(0) := +1
         for k in itertools.product((0, 1), repeat=s.d):
             flips = sum(kj for kj, pos in zip(k, positive) if pos)

@@ -133,9 +133,10 @@ def test_05_coefficient_bounds():
             if fn.d > 2:
                 continue
             for n in range(1, 5):
-                report = coefficient_bound_audit(fn, n)
+                report = coefficient_bound_audit(fn, surplus_coefficients(fn.f, n, fn.d))
                 assert report.passed, report.violations
-        witness = coefficient_bound_audit(corpus_function("prod-quad", 1), 1)
+        quad1 = corpus_function("prod-quad", 1)
+        witness = coefficient_bound_audit(quad1, surplus_coefficients(quad1.f, 1, 1))
         ratio = witness.checks[0].ratio_inf
         assert abs(ratio - 1.0) <= 1e-12
 

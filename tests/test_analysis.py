@@ -9,7 +9,9 @@ import scipy.special
 
 from qkorobov.analysis import (
     FACTORS,
+    ConvergenceRow,
     _grid_error,
+    _slope_fits,
     coefficient_bound_audit,
     convergence_study,
     corpus,
@@ -312,14 +314,32 @@ class TestConvergence:
         study = convergence_study(null, "inf", range(1, 4))
         assert study.slope is None
 
+    def test_fit_keeps_rows_above_1e13_with_two_nodes(self):
+        errors = [0.5, 1e-13, 0.01, None, 0.002, 0.0004]
+        rows = [ConvergenceRow(n, N, e, None) for n, (N, e) in
+                enumerate(zip((1, 3, 3, 7, 7, 15), errors), start=1)]
+        keep, raw, corrected = _slope_fits(rows, errors, 2)
+        assert keep == [(3, 0.01), (7, 0.002), (15, 0.0004)]
+        x = np.log2([3, 7, 15])
+        y = np.log2([0.01, 0.002, 0.0004])
+        assert raw[0] == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+        want = np.polyfit(x, y - 3.0 * np.log2(x), 1)[0]
+        assert corrected[0] == pytest.approx(want, rel=1e-12)
+        assert _slope_fits(rows[:3], errors[:3], 2) == ([(3, 0.01)], None, None)
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             convergence_study(corpus_function("prod-quad", 1), "inf", [])
 
 
+def quad1_map(n):
+    fn = corpus_function("prod-quad", 1)
+    return fn, surplus_coefficients(fn.f, n, 1)
+
+
 class TestCoefficientAudit:
     def test_equality_witness(self):
-        report = coefficient_bound_audit(corpus_function("prod-quad", 1), 2)
+        report = coefficient_bound_audit(*quad1_map(2))
         by_index = {c.source: c for c in report.checks}
         assert by_index[GridIndex((1,), (1,))].ratio_inf == pytest.approx(1.0, abs=1e-12)
         # level 2: |v| = 1/16 vs 2^-5 * 2
@@ -330,13 +350,13 @@ class TestCoefficientAudit:
             if fn.d > 2:
                 continue
             for n in range(1, 5):
-                report = coefficient_bound_audit(fn, n)
+                report = coefficient_bound_audit(fn, surplus_coefficients(fn.f, n, fn.d))
                 assert report.passed, report.violations
                 assert report.max_ratio_inf <= 1.0 + 1e-12
                 assert report.max_ratio_2 <= 1.0 + 1e-12
 
     def test_scale_hook_fails(self):
-        report = coefficient_bound_audit(corpus_function("prod-quad", 1), 2, scale=1.1)
+        report = coefficient_bound_audit(*quad1_map(2), scale=1.1)
         assert not report.passed
         assert any(g == GridIndex((1,), (1,)) for g, _, _ in report.violations)
 
@@ -346,9 +366,17 @@ class TestCoefficientAudit:
         zero = KorobovTestFunction(
             "zero", 1, lambda X: np.zeros(len(X)), lambda X: np.zeros(len(X)), 0.0, 0.0
         )
-        report = coefficient_bound_audit(zero, 2)
+        report = coefficient_bound_audit(zero, surplus_coefficients(zero.f, 2, 1))
         assert report.passed
         assert report.max_ratio_inf == 0.0
+
+    def test_map_of_other_dimension_rejected(self):
+        fn = corpus_function("prod-quad", 2)
+        smap = surplus_coefficients(corpus_function("prod-quad", 1).f, 3, 1)
+        assert coefficient_bound_audit(*quad1_map(3)).n == 3
+        for check in (coefficient_bound_audit, dual_oracle_gap):
+            with pytest.raises(ValueError, match="surplus map of d=1 for a function of d=2"):
+                check(fn, smap)
 
 
 class TestLevelQuadrature:
@@ -395,7 +423,8 @@ class TestLevelQuadrature:
             if fn.d > 2:
                 continue
             for n in (1, 3, 4):
-                got = coefficient_bound_audit(fn, n, scale=scale).violations
+                smap = surplus_coefficients(fn.f, n, fn.d)
+                got = coefficient_bound_audit(fn, smap, scale=scale).violations
                 want = reference_violations(fn, n, scale)
                 assert [(g, w) for g, w, _ in got] == [(g, w) for g, w, _ in want]
                 for (_, _, a), (_, _, b) in zip(got, want):
@@ -413,7 +442,7 @@ class TestDualOracle:
                 smap = surplus_coefficients(fn.f, n, fn.d)
                 want = max(abs(v - reference_support_sum(fn.mixed_derivative, g, 32, True))
                            for g, v in smap.items())
-                assert dual_oracle_gap(fn, n) == pytest.approx(want, rel=1e-9, abs=1e-18)
+                assert dual_oracle_gap(fn, smap) == pytest.approx(want, rel=1e-9, abs=1e-18)
 
     def test_gaps_within_tolerance(self):
         for fn in corpus():
@@ -421,7 +450,7 @@ class TestDualOracle:
                 continue
             tol = 1e-8 if fn.d == 1 else 1e-6
             for n in range(1, 5):
-                assert dual_oracle_gap(fn, n) <= tol
+                assert dual_oracle_gap(fn, surplus_coefficients(fn.f, n, fn.d)) <= tol
 
 
 class TestLambertW:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkorobov.analysis import corpus_function
+from qkorobov.analysis import corpus, corpus_function
 from qkorobov.lcu import evaluate_via_circuit
 from qkorobov.sparsegrid import (
     BATCH_ROWS,
+    _axis_cells,
     ChebyshevTerm,
     GridIndex,
     SurplusMap,
@@ -21,8 +22,6 @@ from qkorobov.sparsegrid import (
     hat,
     index_set,
     integral_coefficient,
-    locate_support,
-    scaled_hat,
     surplus_coefficients,
 )
 
@@ -87,6 +86,79 @@ def reference_evaluate_grid(s, axes):
     return total
 
 
+def reference_scaled_hat(g, x):
+    """Product of per-coordinate hats of ``g`` at the point ``x``."""
+    x = np.asarray(x, dtype=float)
+    assert x.shape == (g.d,)
+    value = 1.0
+    for j, (l, i) in enumerate(zip(g.level, g.index)):
+        value *= hat(x[j] * 2.0 ** l - i)
+    return value
+
+
+def reference_locate_support(level, x):
+    """The level's node whose open support holds ``x``, by a scalar loop.
+
+    None when some coordinate sits on an even node of the level (all hats
+    of the level vanish there, boundary included).
+    """
+    index = []
+    for l, xj in zip(level, np.asarray(x, dtype=float).reshape(-1)):
+        t = xj * 2.0 ** l
+        i = 2 * int(np.floor(t / 2.0)) + 1
+        if abs(t - i) >= 1.0 or i > 2 ** l - 1:
+            return None
+        index.append(i)
+    return GridIndex(tuple(level), tuple(index))
+
+
+def reference_evaluate(s, x):
+    """The interpolant at one point: located hats, summed level by level."""
+    total = 0.0
+    for level in s.levels():
+        g = reference_locate_support(level, x)
+        if g is not None:
+            total += s[g] * reference_scaled_hat(g, x)
+    return total
+
+
+def reference_chebyshev_expansion(s, x):
+    """The signed Chebyshev terms at ``x`` by a scalar loop over levels."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    terms = []
+    for level in s.levels():
+        g = reference_locate_support(level, x)
+        if g is None:
+            continue
+        v = s[g]
+        u = tuple(float(xj * 2.0 ** l - i) for xj, l, i in zip(x, g.level, g.index))
+        positive = [uj >= 0.0 for uj in u]  # sgn(0) := +1
+        for k in itertools.product((0, 1), repeat=s.d):
+            flips = sum(kj for kj, pos in zip(k, positive) if pos)
+            terms.append(ChebyshevTerm((-1.0) ** flips * v, k, u, g))
+    return terms
+
+
+def kernel_locate(level, x):
+    """The node ``_axis_cells`` locates, or None where a hat of the level is 0."""
+    index = []
+    for l, xj in zip(level, np.asarray(x, dtype=float).reshape(-1)):
+        cell, hat_j, _ = _axis_cells(np.array([xj]), l)
+        if not hat_j[0] > 0.0:
+            return None
+        index.append(2 * int(cell[0]) + 1)
+    return GridIndex(tuple(level), tuple(index))
+
+
+def kernel_hat(g, x):
+    """Hat product of ``g`` at ``x`` read through ``_axis_cells`` (0 off its cells)."""
+    value = 1.0
+    for l, i, xj in zip(g.level, g.index, np.asarray(x, dtype=float)):
+        cell, hat_j, _ = _axis_cells(np.array([xj]), l)
+        value *= hat_j[0] if 2 * cell[0] + 1 == i else 0.0
+    return value
+
+
 def probe_points(rng, n, d, m=400):
     """Random interior points, dyadic points up to level n + 1, and boundary points."""
     level = rng.integers(1, n + 2, size=(m, d))
@@ -116,16 +188,21 @@ class TestHat:
 
 
 class TestScaledHat:
+    """Hat products through the location kernel and the scalar reference."""
+
     def test_node_value(self):
-        assert scaled_hat(GridIndex((2,), (3,)), [0.75]) == pytest.approx(1.0)
+        for scaled_hat in (kernel_hat, reference_scaled_hat):
+            assert scaled_hat(GridIndex((2,), (3,)), [0.75]) == pytest.approx(1.0)
 
     def test_half_way(self):
         # u = (0.625 - 0.75) / 0.25 = -0.5
-        assert scaled_hat(GridIndex((2,), (3,)), [0.625]) == pytest.approx(0.5)
+        for scaled_hat in (kernel_hat, reference_scaled_hat):
+            assert scaled_hat(GridIndex((2,), (3,)), [0.625]) == pytest.approx(0.5)
 
     def test_product_form(self):
         g = GridIndex((1, 1), (1, 1))
-        assert scaled_hat(g, [0.5, 0.25]) == pytest.approx(0.5)
+        for scaled_hat in (kernel_hat, reference_scaled_hat):
+            assert scaled_hat(g, [0.5, 0.25]) == pytest.approx(0.5)
 
 
 class TestGridIndex:
@@ -523,34 +600,90 @@ class TestDomainPolicy:
 
 
 class TestLocateSupport:
+    """Cell location through the kernel and the scalar reference."""
+
+    LOCATE = (kernel_locate, reference_locate_support)
+
     def test_inside_support(self):
-        g = locate_support((2,), [0.3])
-        assert g is not None and g.index == (1,)
+        for locate_support in self.LOCATE:
+            g = locate_support((2,), [0.3])
+            assert g is not None and g.index == (1,)
 
     def test_even_node_returns_none(self):
-        assert locate_support((2,), [0.5]) is None
+        for locate_support in self.LOCATE:
+            assert locate_support((2,), [0.5]) is None
 
     def test_level_one_covers_interior(self):
-        g = locate_support((1, 1), [0.3, 0.7])
-        assert g is not None and g.index == (1, 1)
+        for locate_support in self.LOCATE:
+            g = locate_support((1, 1), [0.3, 0.7])
+            assert g is not None and g.index == (1, 1)
 
     def test_boundary_returns_none(self):
-        assert locate_support((2,), [0.0]) is None
-        assert locate_support((2,), [1.0]) is None
+        for locate_support in self.LOCATE:
+            assert locate_support((2,), [0.0]) is None
+            assert locate_support((2,), [1.0]) is None
 
     def test_unique_and_consistent(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             level = tuple(int(l) for l in rng.integers(1, 5, size=2))
             x = rng.random(2)
-            g = locate_support(level, x)
+            g = kernel_locate(level, x)
+            assert g == reference_locate_support(level, x)
             supported = [
-                cand for cand in index_set(level) if scaled_hat(cand, x) > 0.0
+                cand for cand in index_set(level) if reference_scaled_hat(cand, x) > 0.0
             ]
             if g is None:
                 assert not supported
             else:
                 assert supported == [g]
+
+
+def corpus_probe(n, d, seed):
+    """``probe_points`` plus coordinates at 1e-18 and 1 - 1e-16 in random places."""
+    rng = np.random.default_rng(seed)
+    pts = probe_points(rng, n, d, m=40)
+    pts[rng.random(pts.shape) < 0.2] = 1e-18
+    pts[rng.random(pts.shape) < 0.2] = 1.0 - 1e-16
+    return pts
+
+
+SMALL_CORPUS = [fn for fn in corpus() if fn.d <= 3]
+
+
+def exact(values):
+    """Floats as hex strings: equal only bit for bit, sign of zero included."""
+    return [float(v).hex() for v in values]
+
+
+class TestOneLocationKernel:
+    """``evaluate`` and ``chebyshev_expansion`` against the scalar loops, bit for bit."""
+
+    @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
+    def test_evaluate_is_batch_row(self, fn):
+        for n in range(1, 6):
+            s = surplus_coefficients(fn.f, n, fn.d)
+            pts = corpus_probe(n, fn.d, seed=n)
+            scalar = np.array([s.evaluate(x) for x in pts])
+            batch = s.evaluate_batch(pts)
+            np.testing.assert_array_equal(scalar, batch)
+            np.testing.assert_array_equal(np.signbit(scalar), np.signbit(batch))
+            assert exact(scalar) == exact(reference_evaluate(s, x) for x in pts)
+
+    @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
+    def test_expansion_equals_scalar_loop(self, fn):
+        for n in range(1, 6):
+            s = surplus_coefficients(fn.f, n, fn.d)
+            for x in corpus_probe(n, fn.d, seed=10 + n):
+                got = chebyshev_expansion(s, x)
+                want = reference_chebyshev_expansion(s, x)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert type(a.weight) is float
+                    assert all(type(u) is float for u in a.arguments)
+                    assert exact([a.weight]) == exact([b.weight])
+                    assert exact(a.arguments) == exact(b.arguments)
+                    assert a.degrees == b.degrees and a.source == b.source
 
 
 class TestChebyshevExpansion:
