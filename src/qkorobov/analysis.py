@@ -45,6 +45,7 @@ from .sparsegrid import (
 )
 
 MC_SAMPLES = 200_000
+SEMINORM_NODES_PER_CELL = 24
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +383,21 @@ class AuditReport:
 
 
 def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
-                      indices: Sequence[Sequence[int]] | None = None,
-                      nodes_per_cell: int = 24) -> np.ndarray:
+                      indices: Sequence[Sequence[int]] | None = None) -> np.ndarray:
     """L2 norms of the mixed derivative over the hat supports of one level.
 
     One ``support_rule`` quadrature and one call of ``mixed_derivative``
     serve every node of the level; values come in ``index_set`` order.
     """
-    pts, w = support_rule(level, indices, nodes_per_cell)
+    pts, w = support_rule(level, indices, SEMINORM_NODES_PER_CELL)
     vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(w.shape)
     return np.sqrt(np.sum(w * vals ** 2, axis=1))
 
 
-def local_seminorm_2(mixed_derivative: Callable, g: GridIndex,
-                     nodes_per_cell: int = 24) -> float:
+def local_seminorm_2(mixed_derivative: Callable, g: GridIndex) -> float:
     """L2 norm of the mixed derivative over the support of one hat."""
     indices = [[i] for i in g.index]
-    return float(local_seminorms_2(mixed_derivative, g.level, indices, nodes_per_cell)[0])
+    return float(local_seminorms_2(mixed_derivative, g.level, indices)[0])
 
 
 def _check_map(func: KorobovTestFunction, smap: SurplusMap) -> None:
@@ -422,10 +421,11 @@ def coefficient_bound_audit(func: KorobovTestFunction, smap: SurplusMap,
     for level in smap.levels():
         l1 = sum(level)
         bound_inf = 2.0 ** (-d - 2 * l1) * func.seminorm_inf
-        seminorms = local_seminorms_2(func.mixed_derivative, level)
-        for g, seminorm in zip(index_set(level), seminorms.tolist()):
+        seminorms = local_seminorms_2(func.mixed_derivative, level).tolist()
+        values = (smap.level_values(level) * scale).tolist()
+        for g, value, seminorm in zip(index_set(level), values, seminorms):
             bound_2 = 2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1) * seminorm
-            check = CoefficientCheck(g, smap[g] * scale, bound_inf, bound_2)
+            check = CoefficientCheck(g, value, bound_inf, bound_2)
             checks.append(check)
             if check.ratio_inf > 1.0 + 1e-12:
                 violations.append((g, "inf", check.ratio_inf))
@@ -447,9 +447,8 @@ def dual_oracle_gap(func: KorobovTestFunction, smap: SurplusMap) -> float:
     _check_map(func, smap)
     gap = 0.0
     for level in smap.levels():
-        values = np.array([smap[g] for g in index_set(level)])
         quadrature = integral_coefficients(func.mixed_derivative, level)
-        gap = max(gap, float(np.abs(values - quadrature).max()))
+        gap = max(gap, float(np.abs(smap.level_values(level) - quadrature).max()))
     return gap
 
 

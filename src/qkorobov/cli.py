@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis, lcu, sparsegrid
 from .analysis import KorobovTestFunction
-from .simulator import MAX_DENSE_WIDTH
+from .simulator import MAX_DENSE_WIDTH, resource_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -197,9 +197,10 @@ def cmd_coeffs(args) -> int:
     smap = sparsegrid.surplus_coefficients(func.f, n, func.d)
     doc = smap.to_json_dict()
     if args.quadrature:
-        for entry in doc["entries"]:
-            g = sparsegrid.GridIndex(tuple(entry["level"]), tuple(entry["index"]))
-            entry["quadrature"] = sparsegrid.integral_coefficient(func.mixed_derivative, g)
+        quadrature = [q for level in smap.levels() for q in
+                      sparsegrid.integral_coefficients(func.mixed_derivative, level).tolist()]
+        for entry, q in zip(doc["entries"], quadrature):
+            entry["quadrature"] = q
     doc["function"] = func.name
     write_out(json_text(doc), args.out)
     return EXIT_OK
@@ -321,7 +322,8 @@ def cmd_resources(args) -> int:
                 measured.append({"d": d, "n": n, "terms": m, "width": width,
                                  "feasible": False, "reason": "width beyond dense ceiling"})
                 continue
-            _, report = lcu.evaluate_via_circuit(smap, x)
+            plan = lcu.plan_from_terms(terms, d)
+            report = resource_report(lcu.hadamard_test_circuit(lcu.assemble_lcu(plan)))
             measured.append(
                 {"d": d, "n": n, "terms": m, "width": report.width,
                  "touch_depth": report.touch_depth, "gate_count": report.gate_count,

@@ -26,14 +26,16 @@ The classical evaluators accept points of [0,1]^d only: ``evaluate``,
 ``evaluate_batch``, ``evaluate_grid`` and ``chebyshev_expansion`` reject a
 non-finite or out-of-domain coordinate with a ValueError.
 
-Every read of a map locates its hats with one kernel, ``_axis_cells``: for
-a coordinate x and a level l it gives the cell of the one hat whose support
-holds x, the hat value 1 - |u| and the local coordinate u in [-1, 1].
-``evaluate`` is a one-row ``evaluate_batch``; ``evaluate_grid`` and
-``chebyshev_expansion`` read the same per-(axis, level) table.  For a point
-inside the supports, each per-coordinate hat splits into Chebyshev
-polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+ P1(u), which is what
-``chebyshev_expansion`` emits for the circuit pipeline.
+A ``SurplusMap`` stores its coefficients only as one array per level, where
+cell c holds the node with odd index 2c + 1; GridIndex nodes are built only
+when a caller asks for them.  Every read locates its hats with one kernel,
+``_axis_cells``: for a coordinate x and a level l it gives the cell of the
+one hat whose support holds x, the hat value 1 - |u| and the local
+coordinate u in [-1, 1].  ``evaluate`` is a one-row ``evaluate_batch``;
+``evaluate_grid`` and ``chebyshev_expansion`` read the same per-(axis,
+level) table.  For a point inside the supports, each per-coordinate hat
+splits into Chebyshev polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+
+P1(u), which is what ``chebyshev_expansion`` emits for the circuit pipeline.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ BOUNDARY_TOLERANCE = 1e-12
 # which stays in cache (4,096 and 16,384 rows were slower at d=3, n=8 on a
 # 2-vCPU x86 host)
 BATCH_ROWS = 8192
+SURPLUS_NODES_PER_CELL = 32
 
 
 @dataclass(frozen=True)
@@ -90,12 +93,6 @@ class GridIndex:
 
     def node(self) -> tuple[float, ...]:
         return tuple(i * h for i, h in zip(self.index, self.spacing()))
-
-    def support(self) -> tuple[tuple[float, float], ...]:
-        return tuple(
-            (max(0.0, (i - 1) * h), min(1.0, (i + 1) * h))
-            for i, h in zip(self.index, self.spacing())
-        )
 
 
 def hat(u):
@@ -149,57 +146,67 @@ def grid_count(n: int, d: int) -> int:
 class SurplusMap:
     """Hierarchical surplus coefficients of one function at truncation n.
 
-    ``entries`` maps every GridIndex of the truncated index set to its
-    coefficient (zeros included), in lexicographic (level, index) order.
+    The coefficients (zeros included) live in one array per level vector l,
+    of shape (2^(l_1 - 1), ..., 2^(l_d - 1)).  ``items()``, ``entries`` and
+    ``smap[g]`` are views built on demand, in lexicographic (level, index) order.
     """
 
     def __init__(self, d: int, n: int, entries: dict[GridIndex, float]):
-        self.d = int(d)
-        self.n = int(n)
-        self.entries = dict(entries)
+        self.d, self.n = int(d), int(n)
         expected = grid_count(self.n, self.d)
-        if len(self.entries) != expected:
+        if len(entries) != expected:
             raise ValueError(
-                f"{len(self.entries)} entries, but the level-{self.n} index set "
-                f"holds {expected}"
+                f"{len(entries)} entries, but the level-{self.n} index set holds {expected}"
             )
-        # also verifies every required key is present
         self._level_arrays = {
-            level: np.array([self.entries[g] for g in index_set(level)], dtype=float)
-            .reshape([2 ** (l - 1) for l in level])
-            for level in self.levels()
+            level: np.empty([2 ** (l - 1) for l in level]) for level in self.levels()
         }
+        # N distinct nodes of the index set fill each of its N cells once
+        for g, v in entries.items():
+            if g.level not in self._level_arrays:
+                raise ValueError(
+                    f"node level {list(g.level)} index {list(g.index)} is not in the "
+                    f"level-{self.n} index set of dimension {self.d}"
+                )
+            self._level_arrays[g.level][tuple((i - 1) // 2 for i in g.index)] = v
         for level, values in self._level_arrays.items():
             finite = np.isfinite(values).reshape(-1)
             if not finite.all():
                 g = index_set(level)[int(np.argmin(finite))]
                 raise ValueError(
                     f"coefficient of level {list(g.level)} index {list(g.index)} is "
-                    f"{self.entries[g]!r}; every coefficient must be finite"
+                    f"{self[g]!r}; every coefficient must be finite"
                 )
 
     @classmethod
     def _from_arrays(cls, d: int, n: int, arrays: dict[Level, np.ndarray]) -> "SurplusMap":
         """A map over finished per-level arrays, keyed in ``enumerate_levels`` order."""
         smap = object.__new__(cls)
-        smap.d, smap.n = d, n
-        keys = [g for level in arrays for g in index_set(level)]
-        values = np.concatenate([a.reshape(-1) for a in arrays.values()]).tolist()
-        smap.entries = dict(zip(keys, values))
-        smap._level_arrays = arrays
+        smap.d, smap.n, smap._level_arrays = d, n, arrays
         return smap
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(values.size for values in self._level_arrays.values())
 
     def __getitem__(self, g: GridIndex) -> float:
-        return self.entries[g]
+        return self._level_arrays[g.level][tuple((i - 1) // 2 for i in g.index)].item()
 
     def levels(self) -> list[Level]:
         return enumerate_levels(self.n, self.d)
 
+    def level_values(self, level: Level) -> np.ndarray:
+        """The coefficients of one level as a flat array, in ``index_set`` order."""
+        return self._level_arrays[tuple(level)].reshape(-1)
+
     def items(self):
-        return self.entries.items()
+        """(GridIndex, coefficient) pairs in lexicographic (level, index) order."""
+        for level in self.levels():
+            yield from zip(index_set(level), self.level_values(level).tolist())
+
+    @property
+    def entries(self) -> dict[GridIndex, float]:
+        """Every node and its coefficient, built from the level arrays."""
+        return dict(self.items())
 
     def evaluate(self, x) -> float:
         """Value of the interpolant at one point of [0,1]^d: one row of ``evaluate_batch``."""
@@ -295,7 +302,7 @@ class SurplusMap:
             "n": self.n,
             "entries": [
                 {"level": list(g.level), "index": list(g.index), "value": v}
-                for g, v in self.entries.items()
+                for g, v in self.items()
             ],
         }
 
@@ -304,10 +311,12 @@ class SurplusMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SurplusMap":
-        entries = {
-            GridIndex(tuple(e["level"]), tuple(e["index"])): float(e["value"])
-            for e in doc["entries"]
-        }
+        entries = {}
+        for e in doc["entries"]:
+            g = GridIndex(tuple(e["level"]), tuple(e["index"]))
+            if g in entries:
+                raise ValueError(f"node level {list(g.level)} index {list(g.index)} appears twice")
+            entries[g] = float(e["value"])
         return cls(int(doc["d"]), int(doc["n"]), entries)
 
     @classmethod
@@ -535,8 +544,7 @@ def support_rule(level: Sequence[int], indices: Sequence[Sequence[int]] | None =
 
 
 def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
-                          indices: Sequence[Sequence[int]] | None = None,
-                          nodes_per_cell: int = 32) -> np.ndarray:
+                          indices: Sequence[Sequence[int]] | None = None) -> np.ndarray:
     """Surpluses of one level via the integral representation (check oracle).
 
     Integrates prod_j(-2^{-(l_j+1)} phi_{l_j,i_j}(x_j)) times the order-2d
@@ -544,13 +552,12 @@ def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
     of ``mixed_derivative`` (on an (m, d) array) for the whole level.
     Returns one value per node, in ``index_set`` order.
     """
-    pts, w = support_rule(level, indices, nodes_per_cell, kernel=True)
+    pts, w = support_rule(level, indices, SURPLUS_NODES_PER_CELL, kernel=True)
     vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(w.shape)
     return np.sum(w * vals, axis=1)
 
 
-def integral_coefficient(mixed_derivative: Callable, g: GridIndex,
-                         nodes_per_cell: int = 32) -> float:
+def integral_coefficient(mixed_derivative: Callable, g: GridIndex) -> float:
     """Surplus of ``g`` via the integral representation (check oracle)."""
     indices = [[i] for i in g.index]
-    return float(integral_coefficients(mixed_derivative, g.level, indices, nodes_per_cell)[0])
+    return float(integral_coefficients(mixed_derivative, g.level, indices)[0])

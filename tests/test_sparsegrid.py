@@ -217,7 +217,6 @@ class TestGridIndex:
     def test_node_and_support(self):
         g = GridIndex((2,), (1,))
         assert g.node() == (0.25,)
-        assert g.support() == ((0.0, 0.5),)
 
 
 class TestEnumeration:
@@ -768,3 +767,61 @@ class TestJsonRoundTrip:
         doc = json.loads(s.dumps())
         assert doc["d"] == 2 and doc["n"] == 1
         assert doc["entries"] == [{"level": [1, 1], "index": [1, 1], "value": 0.0625}]
+
+    def _doc(self):
+        return json.loads(surplus_coefficients(PROD_QUAD_2, 2, 2).dumps())
+
+    def test_duplicated_node_rejected(self):
+        doc = self._doc()
+        doc["entries"].append(dict(doc["entries"][1]))  # N + 1 entries, N nodes
+        with pytest.raises(ValueError, match=r"node level \[1, 2\] index \[1, 1\] appears twice"):
+            SurplusMap.from_json_dict(doc)
+
+    def test_node_outside_index_set_rejected(self):
+        doc = self._doc()
+        doc["entries"][1].update(level=[3, 1], index=[1, 1])  # still N entries
+        with pytest.raises(ValueError, match=r"node level \[3, 1\] index \[1, 1\] is not in "
+                                             r"the level-2 index set"):
+            SurplusMap.from_json_dict(doc)
+
+
+class TestLevelArrayStorage:
+    """The per-level arrays are the only storage; every view reads them."""
+
+    def test_build_constructs_no_grid_index(self, monkeypatch):
+        built = []
+        trusted, post_init = GridIndex._trusted.__func__, GridIndex.__post_init__
+        monkeypatch.setattr(GridIndex, "_trusted", classmethod(
+            lambda cls, *a: built.append(a) or trusted(cls, *a)))
+        monkeypatch.setattr(GridIndex, "__post_init__", lambda g: built.append(g) or post_init(g))
+        s = surplus_coefficients(corpus_function("prod-quad", 3).f, 5, 3)
+        assert built == []
+        assert set(vars(s)) == {"d", "n", "_level_arrays"}
+        monkeypatch.undo()
+        for other in (SurplusMap(3, 5, s.entries), SurplusMap.loads(s.dumps())):
+            assert set(vars(other)) == {"d", "n", "_level_arrays"}
+
+    @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
+    def test_views_read_the_level_arrays(self, fn):
+        for n in range(1, 7):
+            s = surplus_coefficients(fn.f, n, fn.d)
+            arrays = s._level_arrays
+            assert list(arrays) == s.levels()
+            assert len(s) == grid_count(n, fn.d)
+            for other in (SurplusMap(fn.d, n, s.entries), SurplusMap.loads(s.dumps())):
+                assert list(other._level_arrays) == s.levels()
+                for level in s.levels():
+                    np.testing.assert_array_equal(other._level_arrays[level], arrays[level])
+            pairs = list(s.items())
+            flat = np.concatenate([arrays[level].reshape(-1) for level in s.levels()])
+            assert [g for g, _ in pairs] == [
+                g for level in s.levels() for g in index_set(level)]
+            np.testing.assert_array_equal([v for _, v in pairs], flat)
+            np.testing.assert_array_equal([s[g] for g, _ in pairs], flat)
+            assert all(type(v) is float and type(s[g]) is float for g, v in pairs)
+
+    def test_node_beyond_level_n_is_missing(self):
+        s = surplus_coefficients(PROD_QUAD_2, 2, 2)
+        for g in (GridIndex((3, 1), (1, 1)), GridIndex((2,), (1,))):
+            with pytest.raises(KeyError):
+                s[g]
