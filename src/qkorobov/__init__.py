@@ -5,7 +5,6 @@ from .simulator import (
     Gate,
     ResourceReport,
     Statevector,
-    apply_gate,
     circuit_unitary,
     controlled,
     expectation_z_first,
@@ -18,7 +17,6 @@ from .qsp import (
     chebyshev_circuit,
     chebyshev_first_kind,
     chebyshev_second_kind,
-    qsp_ansatz,
     signal_encoding,
 )
 from .sparsegrid import (

@@ -14,8 +14,8 @@ The coefficient audit and the stencil-vs-integral gap work one level at a
 time: ``support_rule`` builds the two-cell Gauss rules of every node of the
 level as (nodes x quadrature points) arrays, the mixed derivative is called
 once on all of them, and each row reduces to one node's value.  The
-one-node forms ``local_seminorm_2`` and ``integral_coefficient`` are the
-same computation on a single row.
+one-node form ``integral_coefficient`` is the same computation on a single
+row.
 
 Resource bounds implement the epsilon-complexity formulas with every big-O
 constant set to 1; outputs are relative units good for ordering and
@@ -213,6 +213,14 @@ def _grid_error(f: Callable, g, p: float, axes: list[np.ndarray],
     return worst if p == math.inf else total ** (1.0 / p)
 
 
+def _norm_exponent(p) -> float:
+    """``p`` as a float in [2, inf]; the string "inf" works too."""
+    p = float("inf") if p in ("inf", np.inf, math.inf) else float(p)
+    if not p >= 2:  # NaN fails every comparison
+        raise ValueError("p must be in [2, inf]")
+    return p
+
+
 def lp_error(f: Callable, g, p, d: int, n: int, seed: int = 0) -> float:
     """||f - g||_p over [0,1]^d at the resolution tied to level ``n``.
 
@@ -221,9 +229,7 @@ def lp_error(f: Callable, g, p, d: int, n: int, seed: int = 0) -> float:
     is read on the tensor grid by ``evaluate_grid``.  d = 3 with finite p
     falls back to a seeded Monte Carlo estimate.
     """
-    p = float("inf") if p in ("inf", np.inf, math.inf) else float(p)
-    if p != math.inf and p < 2:
-        raise ValueError("p must be in [2, inf]")
+    p = _norm_exponent(p)
     if p == math.inf:
         return _grid_error(f, g, p, [_dyadic_grid(n)] * d, None)
     if d >= 3:
@@ -314,7 +320,7 @@ def convergence_study(func: KorobovTestFunction, p, n_range: Sequence[int],
     least-squares slope); ``raw_slope`` is always the uncorrected fit.
     Rows with error below 1e-13 or N < 2 are excluded from the fits.
     """
-    p = float("inf") if p in ("inf", np.inf, math.inf) else float(p)
+    p = _norm_exponent(p)
     n_values = sorted(n_range)
     if not n_values:
         raise ValueError("n_range must be non-empty")
@@ -394,12 +400,6 @@ def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
     return np.sqrt(np.sum(w * vals ** 2, axis=1))
 
 
-def local_seminorm_2(mixed_derivative: Callable, g: GridIndex) -> float:
-    """L2 norm of the mixed derivative over the support of one hat."""
-    indices = [[i] for i in g.index]
-    return float(local_seminorms_2(mixed_derivative, g.level, indices)[0])
-
-
 def _check_map(func: KorobovTestFunction, smap: SurplusMap) -> None:
     if smap.d != func.d:
         raise ValueError(f"surplus map of d={smap.d} for a function of d={func.d}")
@@ -415,6 +415,8 @@ def coefficient_bound_audit(func: KorobovTestFunction, smap: SurplusMap,
       |v| <= 2^(-d) (2/3)^(d/2) 2^(-1.5||l||_1) * |f restricted to supp|_{2,2}
     """
     _check_map(func, smap)
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     d = func.d
     checks = []
     violations = []
@@ -510,9 +512,7 @@ def resource_estimate(epsilon: float, d: int, p, formula: str = "auto") -> Resou
         raise ValueError("epsilon must lie in (0, 1)")
     if d < 1:
         raise ValueError("d must be >= 1")
-    p = float("inf") if p in ("inf", np.inf, math.inf) else float(p)
-    if p < 2:
-        raise ValueError("p must be in [2, inf]")
+    p = _norm_exponent(p)
     if formula == "auto":
         formula = "p2-inf" if p in (2.0, math.inf) else "general-p"
     if formula not in ("p2-inf", "general-p"):

@@ -10,6 +10,12 @@ Subcommands:
   audit         coefficient decay bounds and stencil-vs-integral gap
   circuit       JSON gate trace of one evaluation circuit
 
+Each subcommand takes only the options its handler reads (``COMMANDS``),
+plus --config and --out; argparse rejects any other option, or a --format the
+command does not write, with exit 2.  A --config file's keys must be options
+of the command; its values become the subcommand's defaults before a second
+parse, so an explicit flag always wins.
+
 Exit codes: 0 success, 2 configuration error, 3 invariant/audit violation.
 Every command is deterministic given its arguments and seed; numbers are
 serialized with 17 significant digits so doubles round-trip exactly.
@@ -80,7 +86,9 @@ def resolve_function(args) -> KorobovTestFunction:
 def parse_points(text: str, d: int) -> list[np.ndarray]:
     points = []
     for chunk in text.split(";"):
-        coords = [float(c) for c in chunk.split(",") if c.strip() != ""]
+        if any(c.strip() == "" for c in chunk.split(",")):
+            raise ConfigError(f"point {chunk!r} has an empty coordinate")
+        coords = [float(c) for c in chunk.split(",")]
         if len(coords) != d:
             raise ConfigError(f"point {chunk!r} does not have {d} coordinates")
         if any(not 0.0 <= c <= 1.0 for c in coords):
@@ -98,7 +106,7 @@ def parse_p(text: str):
         p = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse --p {text!r}") from None
-    if p < 2:
+    if not p >= 2:  # NaN fails every comparison
         raise ConfigError("--p must be 2 <= p <= inf")
     return p
 
@@ -344,6 +352,8 @@ def cmd_resources(args) -> int:
 
 def cmd_audit(args) -> int:
     n_max = args.n if args.n is not None else 4
+    if n_max < 1:
+        raise ConfigError("--n must be at least 1")
     funcs = [
         fn for fn in analysis.corpus()
         if fn.d <= 2
@@ -407,59 +417,66 @@ def cmd_circuit(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-OPTIONS = [
-    ("--config", dict(help="JSON file with defaults; flags override")),
-    ("--fn", dict(help="corpus function name (or 'zero')")),
-    ("--expr", dict(help="product of factors, e.g. 'x(1-x)*sin(pi x)'")),
-    ("--d", dict(type=int, help="dimension")),
-    ("--n", dict(type=int, help="truncation level")),
-    ("--n-range", dict(help="inclusive level range A..B")),
-    ("--p", dict(help="norm: 2, inf, or a float in (2, inf)")),
-    ("--x", dict(help="points: coords comma-separated, points ';'-separated")),
-    ("--eps", dict(help="comma-separated epsilon grid (resources)")),
-    ("--out", dict(help="output path (default stdout)")),
-    ("--format", dict(choices=["csv", "json", "svg"], default=None)),
-    ("--seed", dict(type=int, default=0)),
-    ("--normalized", dict(action="store_true", default=False,
-                          help="also report the pre-rescaling amplitude")),
-    ("--quadrature", dict(action="store_true", default=False,
-                          help="coeffs: add the integral-formula cross value per entry")),
-    ("--include-identity-gates", dict(default=True, action=argparse.BooleanOptionalAction,
-                                      help="materialise zero-angle phase gates (default on)")),
-    ("--scale-coeffs", dict(type=float, default=1.0,
-                            help="audit test hook: scale coefficients by this factor")),
-]
+OPTIONS = {
+    "--config": dict(help="JSON file with defaults; flags override"),
+    "--fn": dict(help="corpus function name (or 'zero')"),
+    "--expr": dict(help="product of factors, e.g. 'x(1-x)*sin(pi x)'"),
+    "--d": dict(type=int, help="dimension"),
+    "--n": dict(type=int, help="truncation level"),
+    "--n-range": dict(help="inclusive level range A..B"),
+    "--p": dict(help="norm: 2, inf, or a float in (2, inf)"),
+    "--x": dict(help="points: coords comma-separated, points ';'-separated"),
+    "--eps": dict(help="comma-separated epsilon grid"),
+    "--out": dict(help="output path (default stdout)"),
+    "--seed": dict(type=int, default=0),
+    "--normalized": dict(action="store_true", default=False,
+                         help="also report the pre-rescaling amplitude"),
+    "--quadrature": dict(action="store_true", default=False,
+                         help="add the integral-formula cross value per entry"),
+    "--include-identity-gates": dict(default=True, action=argparse.BooleanOptionalAction,
+                                     help="materialise zero-angle phase gates (default on)"),
+    "--scale-coeffs": dict(type=float, default=1.0,
+                           help="test hook: scale coefficients by this factor"),
+}
+
+# Each subcommand: its handler, its output formats (the first is the default;
+# none for a JSON-only command) and the options its handler reads.  --config
+# and --out go to every command.
+COMMANDS = {
+    "eval": (cmd_eval, ["csv", "json"],
+             "--fn --expr --d --n --x --normalized --include-identity-gates"),
+    "coeffs": (cmd_coeffs, [], "--fn --expr --d --n --quadrature"),
+    "convergence": (cmd_convergence, ["csv", "json", "svg"],
+                    "--fn --expr --d --n --n-range --p --seed"),
+    "resources": (cmd_resources, ["json", "csv"], "--d --n --n-range --p --eps"),
+    "audit": (cmd_audit, [], "--fn --d --n --scale-coeffs"),
+    "circuit": (cmd_circuit, [], "--fn --expr --d --n --x --include-identity-gates"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_options(command: str) -> dict[str, tuple[str, dict]]:
+    """The options of ``command``: dest -> (flag, argparse keyword arguments)."""
+    _, formats, flags = COMMANDS[command]
+    options = [(flag, OPTIONS[flag]) for flag in ["--config", *flags.split(), "--out"]]
+    if formats:
+        options.append(("--format", dict(choices=formats, default=formats[0])))
+    return {flag[2:].replace("-", "_"): (flag, kwargs) for flag, kwargs in options}
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``qkorobov`` parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="qkorobov",
         description="sparse-grid interpolants compiled to QSP+LCU circuits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "eval": cmd_eval,
-        "coeffs": cmd_coeffs,
-        "convergence": cmd_convergence,
-        "resources": cmd_resources,
-        "audit": cmd_audit,
-        "circuit": cmd_circuit,
-    }
-    for name, handler in commands.items():
+    for name, (handler, _, _) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.set_defaults(handler=handler)
-        for flag, kwargs in OPTIONS:
+        for flag, kwargs in _command_options(name).values():
             sp.add_argument(flag, **kwargs)
-    return parser
+    return parser, sub.choices
 
-
-_DEFAULT_FORMATS = {
-    "eval": "csv", "coeffs": "json", "convergence": "csv",
-    "resources": "json", "audit": "json", "circuit": "json",
-}
-
-
-_OPTIONS_BY_DEST = {flag[2:].replace("-", "_"): kwargs for flag, kwargs in OPTIONS}
 
 # JSON types a config value may have, by the argparse type of its option
 _CONFIG_TYPES = {
@@ -469,9 +486,8 @@ _CONFIG_TYPES = {
 }
 
 
-def _config_value(attr: str, value):
+def _config_value(attr: str, value, kwargs: dict):
     """A config value checked and converted like the same flag on the command line."""
-    kwargs = _OPTIONS_BY_DEST[attr]
     if "action" in kwargs:
         if not isinstance(value, bool):
             raise ConfigError(f"config key {attr!r} must be true or false, got {value!r}")
@@ -486,10 +502,8 @@ def _config_value(attr: str, value):
     return value
 
 
-def _merge_config(args) -> None:
-    """Fill argument slots from --config; explicit flags keep priority."""
-    if not args.config:
-        return
+def _config_defaults(args) -> dict:
+    """The values of the --config file, checked against the options of the command."""
     try:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -497,26 +511,27 @@ def _merge_config(args) -> None:
         raise ConfigError(f"cannot read --config: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("--config must hold a JSON object")
+    options = _command_options(args.command)
+    defaults = {}
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if attr == "config" or attr not in _OPTIONS_BY_DEST:
-            raise ConfigError(f"unknown config key {key!r}")
-        value = _config_value(attr, value)
-        if getattr(args, attr) == _OPTIONS_BY_DEST[attr].get("default"):
-            setattr(args, attr, value)
+        if attr == "config" or attr not in options:
+            raise ConfigError(f"config key {key!r} is not an option of {args.command!r}")
+        defaults[attr] = _config_value(attr, value, options[attr][1])
+    return defaults
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the subcommand's defaults, so explicit flags win
+            subparsers[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        _merge_config(args)
-        if args.format is None:
-            args.format = _DEFAULT_FORMATS[args.command]
-        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         # the library raises ValueError for out-of-range input such as --n 0
         print(f"error: {exc}", file=sys.stderr)

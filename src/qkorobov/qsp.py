@@ -66,27 +66,6 @@ def signal_encoding(x: float) -> np.ndarray:
     return np.array([[x, 1j * s], [1j * s, x]], dtype=complex)
 
 
-def phase_rotation(phi: float) -> np.ndarray:
-    """e^{i phi sigma_z} = diag(e^{i phi}, e^{-i phi})."""
-    return np.array([[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]], dtype=complex)
-
-
-def qsp_ansatz(phases, x: float) -> np.ndarray:
-    """Alternating product of phase rotations and signal unitaries.
-
-    ``phases`` = (phi_0, ..., phi_l) yields l applications of W(x); a single
-    phase gives a bare phase rotation (zero-length signal product).
-    """
-    phases = tuple(float(p) for p in phases)
-    if not phases:
-        raise ValueError("phase sequence must contain at least one angle")
-    w = signal_encoding(x)
-    out = phase_rotation(phases[0])
-    for phi in phases[1:]:
-        out = out @ w @ phase_rotation(phi)
-    return out
-
-
 def chebyshev_circuit(r: int, include_identity: bool = True) -> Circuit:
     """Width-1 circuit computing T_r in its |0> -> |0> amplitude.
 

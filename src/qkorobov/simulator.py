@@ -254,14 +254,6 @@ def _validate_op(op: Gate, width: int) -> None:
         raise ValueError(f"op touches qubit(s) {bad} outside width {width}")
 
 
-def apply_gate(state: Statevector, op: Gate) -> Statevector:
-    """Return the state after one op; the input state is left untouched."""
-    _validate_op(op, state.width)
-    amps = state.amplitudes.copy()
-    _apply_op(amps.reshape([2] * state.width), state.width, op.matrix, op)
-    return Statevector(amps, state.width)
-
-
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
     """Apply all ops of ``circuit`` in order to ``initial`` (default |0...0>)."""
     _check_dense_width(circuit.width)
@@ -351,6 +343,4 @@ def resource_report(circuit: Circuit) -> ResourceReport:
 # common matrices
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from qkorobov import analysis
 from qkorobov.analysis import (
     FACTORS,
     ConvergenceRow,
@@ -20,7 +21,6 @@ from qkorobov.analysis import (
     dual_oracle_gap,
     generic_point,
     lambert_w,
-    local_seminorm_2,
     local_seminorms_2,
     lp_error,
     lp_error_mc,
@@ -175,6 +175,16 @@ class TestLpError:
         g = lambda X: np.zeros(len(X))
         assert lp_error(f, g, 2, 1, 3) == pytest.approx(c, abs=1e-12)
         assert lp_error(f, g, 2, 2, 3) == pytest.approx(c, abs=1e-12)
+
+    def test_nan_p_rejected_before_any_norm(self, monkeypatch):
+        fn = corpus_function("prod-quad", 1)
+        with pytest.raises(ValueError, match=r"p must be in \[2, inf\]"):
+            lp_error(fn.f, fn.f, math.nan, 1, 3)
+        calls = []
+        monkeypatch.setattr(analysis, "lp_error", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match=r"p must be in \[2, inf\]"):
+            convergence_study(fn, float("nan"), [1, 2])
+        assert calls == []
 
     def test_p4_between_p2_and_inf(self):
         fn = corpus_function("prod-sin", 1)
@@ -360,6 +370,12 @@ class TestCoefficientAudit:
         assert not report.passed
         assert any(g == GridIndex((1,), (1,)) for g, _, _ in report.violations)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # a NaN ratio is never > 1, so a NaN scale would pass every bound
+        with pytest.raises(ValueError, match="scale must be finite"):
+            coefficient_bound_audit(*quad1_map(2), scale=scale)
+
     def test_zero_function_vacuous(self):
         from qkorobov.analysis import KorobovTestFunction
 
@@ -392,7 +408,7 @@ class TestLevelQuadrature:
             nodes = index_set(level)
             assert seminorms.shape == coeffs.shape == (len(nodes),)
             for g, seminorm, coeff in zip(nodes, seminorms, coeffs):
-                one = local_seminorm_2(fn.mixed_derivative, g)
+                one = local_seminorms_2(fn.mixed_derivative, g.level, [[i] for i in g.index])[0]
                 assert seminorm == pytest.approx(one, rel=1e-13, abs=0)
                 ref = math.sqrt(reference_support_sum(square, g, 24, kernel=False))
                 assert seminorm == pytest.approx(ref, rel=1e-13, abs=0)
@@ -534,6 +550,11 @@ class TestResourceEstimate:
             resource_estimate(0.0, 1, 2)
         with pytest.raises(ValueError):
             resource_estimate(1.0, 1, 2)
+
+    def test_nan_p_rejected(self):
+        for d in (1, 2):
+            with pytest.raises(ValueError, match=r"p must be in \[2, inf\]"):
+                resource_estimate(0.1, d, math.nan)
 
     def test_lambert_value_recorded(self):
         est = resource_estimate(0.01, 2, "inf")

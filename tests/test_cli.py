@@ -4,7 +4,38 @@ import json
 
 import pytest
 
-from qkorobov.cli import main
+from qkorobov.cli import build_parser, main
+
+# the options each subcommand reads and its --format choices, default first
+# (None: JSON only); --config and --out go to every command
+DECLARED = {
+    "eval": ({"--fn", "--expr", "--d", "--n", "--x", "--normalized",
+              "--include-identity-gates"}, ["csv", "json"]),
+    "coeffs": ({"--fn", "--expr", "--d", "--n", "--quadrature"}, None),
+    "convergence": ({"--fn", "--expr", "--d", "--n", "--n-range", "--p", "--seed"},
+                    ["csv", "json", "svg"]),
+    "resources": ({"--d", "--n", "--n-range", "--p", "--eps"}, ["json", "csv"]),
+    "audit": ({"--fn", "--d", "--n", "--scale-coeffs"}, None),
+    "circuit": ({"--fn", "--expr", "--d", "--n", "--x", "--include-identity-gates"}, None),
+}
+
+# one well-formed value per option, None for a switch
+SAMPLE_VALUES = {
+    "--fn": "prod-quad", "--expr": "x(1-x)", "--d": "1", "--n": "1", "--n-range": "1..2",
+    "--p": "2", "--x": "0.5", "--eps": "0.1", "--seed": "1", "--normalized": None,
+    "--quadrature": None, "--include-identity-gates": None, "--scale-coeffs": "1.0",
+    "--format": "json",
+}
+
+# a cheap valid invocation of each command, which a foreign option must spoil
+BASE_ARGS = {"eval": [], "coeffs": [], "convergence": ["--n", "1"],
+             "resources": ["--d", "1", "--n", "1"], "audit": ["--n", "1"], "circuit": []}
+
+FOREIGN = [
+    (command, flag) for command, (options, formats) in DECLARED.items()
+    for flag in SAMPLE_VALUES
+    if flag not in options and not (flag == "--format" and formats)
+]
 
 
 def run_cli(args, tmp_path, name):
@@ -314,3 +345,115 @@ class TestPlumbing:
         code, data = run_cli(["eval", "--config", str(cfg)], tmp_path, "flags.json")
         assert code == 0
         assert "normalized_amplitude" in json.loads(data)["rows"][0]
+
+
+class TestDeclaration:
+    def test_parsers_match_the_declaration(self):
+        _, subparsers = build_parser()
+        assert set(subparsers) == set(DECLARED)
+        settable = 0
+        for name, sp in subparsers.items():
+            options, formats = DECLARED[name]
+            actions = {a.option_strings[0]: a for a in sp._actions if a.dest != "help"}
+            want = options | {"--config", "--out"} | ({"--format"} if formats else set())
+            assert set(actions) == want, name
+            if formats:
+                assert list(actions["--format"].choices) == formats
+                assert actions["--format"].default == formats[0]
+            settable += len(actions)
+        assert settable == 49
+
+    def test_foreign_pairs_counted(self):
+        assert len(FOREIGN) == 47
+
+    @pytest.mark.parametrize("command", sorted(BASE_ARGS))
+    def test_base_invocation_succeeds(self, tmp_path, command):
+        code, data = run_cli([command] + BASE_ARGS[command], tmp_path, "out")
+        assert code == 0 and data
+
+    @pytest.mark.parametrize("command,flag", FOREIGN)
+    def test_foreign_option_exits_2(self, tmp_path, command, flag):
+        value = SAMPLE_VALUES[flag]
+        out = tmp_path / "out"
+        argv = [command, *BASE_ARGS[command], flag] + ([] if value is None else [value])
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "resources"])
+    def test_foreign_format_exits_2(self, tmp_path, command):
+        argv = [command, *BASE_ARGS[command], "--format", "svg"]
+        code, data = run_cli(argv, tmp_path, "out")
+        assert (code, data) == (2, b"")
+
+
+class TestConfigPrecedence:
+    def config(self, tmp_path, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return ["--config", str(path)]
+
+    def test_scale_flag_at_default_beats_config(self, tmp_path):
+        cfg = self.config(tmp_path, {"scale_coeffs": 1.1})
+        argv = ["audit", "--fn", "prod-quad", "--d", "1", "--n", "2"]
+        code, data = run_cli(argv + cfg, tmp_path, "cfg.json")
+        assert (code, json.loads(data)["scale"]) == (3, 1.1)
+        code, data = run_cli(argv + cfg + ["--scale-coeffs", "1.0"], tmp_path, "flag.json")
+        assert (code, json.loads(data)["scale"]) == (0, 1.0)
+
+    def test_identity_gates_flag_beats_config(self, tmp_path):
+        cfg = self.config(tmp_path, {"include_identity_gates": False})
+        argv = ["eval", "--fn", "prod-quad", "--d", "2", "--n", "3", "--x", "0.3,0.7"]
+        _, plain = run_cli(argv, tmp_path, "plain.csv")
+        _, from_cfg = run_cli(argv + cfg, tmp_path, "cfg.csv")
+        _, flagged = run_cli(argv + cfg + ["--include-identity-gates"], tmp_path, "flag.csv")
+        assert from_cfg != plain
+        assert flagged == plain
+
+    def test_seed_flag_at_default_beats_config(self, tmp_path):
+        # the seed only reaches the Monte Carlo L2 norm at d = 3
+        cfg = self.config(tmp_path, {"seed": 5})
+        argv = ["convergence", "--fn", "prod-quad", "--d", "3", "--p", "2", "--n", "1"]
+        _, plain = run_cli(argv, tmp_path, "plain.csv")
+        _, from_cfg = run_cli(argv + cfg, tmp_path, "cfg.csv")
+        _, flagged = run_cli(argv + cfg + ["--seed", "0"], tmp_path, "flag.csv")
+        assert from_cfg != plain
+        assert flagged == plain
+
+    @pytest.mark.parametrize("command,doc", [
+        ("coeffs", {"x": "0.5"}),
+        ("coeffs", {"format": "json"}),
+        ("audit", {"expr": "x(1-x)"}),
+        ("resources", {"fn": "prod-quad"}),
+    ])
+    def test_key_of_another_command_exits_2(self, tmp_path, capsys, command, doc):
+        code, data = run_cli([command] + self.config(tmp_path, doc), tmp_path, "out")
+        assert (code, data) == (2, b"")
+        assert f"not an option of {command!r}" in capsys.readouterr().err
+
+
+class TestInputChecks:
+    def test_nan_p_is_config_error(self, tmp_path):
+        code, data = run_cli(
+            ["convergence", "--fn", "prod-quad", "--d", "1", "--p", "nan", "--n", "2"],
+            tmp_path, "nan.csv",
+        )
+        assert (code, data) == (2, b"")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_audit_level_below_one_is_config_error(self, tmp_path, n):
+        code, data = run_cli(["audit", "--n", n], tmp_path, "audit.json")
+        assert (code, data) == (2, b"")
+
+    def test_nan_scale_is_config_error(self, tmp_path):
+        code, data = run_cli(
+            ["audit", "--fn", "prod-quad", "--d", "1", "--n", "2", "--scale-coeffs", "nan"],
+            tmp_path, "audit.json",
+        )
+        assert (code, data) == (2, b"")
+
+    def test_empty_coordinate_is_config_error(self, tmp_path):
+        code, data = run_cli(
+            ["eval", "--fn", "prod-quad", "--d", "2", "--n", "2", "--x", "0.3,,0.5"],
+            tmp_path, "eval.csv",
+        )
+        assert (code, data) == (2, b"")

@@ -23,12 +23,13 @@ from qkorobov.simulator import (
     Circuit,
     Gate,
     IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
     circuit_unitary,
     resource_report,
 )
 from qkorobov.sparsegrid import chebyshev_expansion, surplus_coefficients
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 PROD_QUAD_1 = lambda X: X[:, 0] * (1 - X[:, 0])
 PROD_QUAD_2 = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1])

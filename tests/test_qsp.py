@@ -11,10 +11,30 @@ from qkorobov.qsp import (
     chebyshev_circuit,
     chebyshev_first_kind,
     chebyshev_second_kind,
-    qsp_ansatz,
     signal_encoding,
 )
 from qkorobov.simulator import circuit_unitary, resource_report, run_circuit
+
+
+def phase_rotation(phi: float) -> np.ndarray:
+    """e^{i phi sigma_z} = diag(e^{i phi}, e^{-i phi})."""
+    return np.array([[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]], dtype=complex)
+
+
+def qsp_ansatz(phases, x: float) -> np.ndarray:
+    """Reference phased product e^{i phi_0 Z} W(x) e^{i phi_1 Z} ... W(x) e^{i phi_l Z}.
+
+    ``phases`` = (phi_0, ..., phi_l) yields l applications of W(x); a single
+    phase gives a bare phase rotation (zero-length signal product).
+    """
+    phases = tuple(float(p) for p in phases)
+    if not phases:
+        raise ValueError("phase sequence must contain at least one angle")
+    w = signal_encoding(x)
+    out = phase_rotation(phases[0])
+    for phi in phases[1:]:
+        out = out @ w @ phase_rotation(phi)
+    return out
 
 
 class TestChebyshevOracles:

@@ -9,10 +9,7 @@ from qkorobov.simulator import (
     HADAMARD,
     IDENTITY_2,
     MAX_DENSE_WIDTH,
-    PAULI_X,
-    PAULI_Z,
     Statevector,
-    apply_gate,
     circuit_unitary,
     controlled,
     expectation_z_first,
@@ -22,6 +19,9 @@ from qkorobov.simulator import (
     shifted,
 )
 from qkorobov.qsp import chebyshev_circuit
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def random_unitary(rng, dim):
@@ -36,11 +36,11 @@ def bit(index, qubit):
 
 class TestApplyGate:
     def test_x_flips_zero(self):
-        out = apply_gate(Statevector.zero(1), Gate(PAULI_X, (0,)))
+        out = run_circuit(Circuit(1, [Gate(PAULI_X, (0,))]))
         np.testing.assert_allclose(out.amplitudes, [0, 1], atol=1e-15)
 
     def test_hadamard_makes_plus(self):
-        out = apply_gate(Statevector.zero(1), Gate(HADAMARD, (0,)))
+        out = run_circuit(Circuit(1, [Gate(HADAMARD, (0,))]))
         np.testing.assert_allclose(out.amplitudes, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_multiplexed_selector_semantics(self):
@@ -55,7 +55,7 @@ class TestApplyGate:
 
     def test_input_state_not_mutated(self):
         state = Statevector.zero(1)
-        apply_gate(state, Gate(PAULI_X, (0,)))
+        run_circuit(Circuit(1, [Gate(PAULI_X, (0,))]), state)
         np.testing.assert_allclose(state.amplitudes, [1, 0])
 
     def test_rejects_non_unitary(self):
@@ -68,7 +68,7 @@ class TestApplyGate:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            apply_gate(Statevector.zero(1), Gate(PAULI_X, (1,)))
+            Circuit(1, [Gate(PAULI_X, (1,))])
 
 
 class TestRunCircuit:
@@ -119,12 +119,13 @@ class TestFusion:
                     circ.append(Gate(random_unitary(rng, 2), target, controls, values))
             psi = rng.standard_normal(2 ** width) + 1j * rng.standard_normal(2 ** width)
             state = Statevector(psi / np.linalg.norm(psi), width)
-            want = state
+            want = state.amplitudes
             for op in circ.ops:
-                want = apply_gate(want, op)
+                want = reference_embedding(
+                    op.matrix, op.targets, op.controls, op.control_values, width) @ want
             n_ops = len(circ.ops)
             got = run_circuit(circ, state)
-            np.testing.assert_allclose(got.amplitudes, want.amplitudes, atol=1e-12)
+            np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
             assert len(circ.ops) == n_ops  # fusion never rewrites the circuit
 
 
@@ -224,12 +225,10 @@ class TestNormAndLinearity:
             psi1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             psi2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             alpha, beta = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-            mixed = apply_gate(Statevector(alpha * psi1 + beta * psi2, 3), gate)
-            parts = (
-                alpha * apply_gate(Statevector(psi1, 3), gate).amplitudes
-                + beta * apply_gate(Statevector(psi2, 3), gate).amplitudes
-            )
-            np.testing.assert_allclose(mixed.amplitudes, parts, atol=1e-12)
+            apply = lambda psi: run_circuit(Circuit(3, [gate]), Statevector(psi, 3)).amplitudes
+            mixed = apply(alpha * psi1 + beta * psi2)
+            parts = alpha * apply(psi1) + beta * apply(psi2)
+            np.testing.assert_allclose(mixed, parts, atol=1e-12)
 
 
 class TestControlledWrapper:
