@@ -99,16 +99,12 @@ def parse_points(text: str, d: int) -> list[np.ndarray]:
     return points
 
 
-def parse_p(text: str):
-    if text in ("inf", "oo"):
-        return math.inf
+def parse_p(text: str) -> float:
+    """--p as a float ("oo" is inf too); the library checks 2 <= p <= inf."""
     try:
-        p = float(text)
+        return math.inf if text == "oo" else float(text)
     except ValueError:
         raise ConfigError(f"cannot parse --p {text!r}") from None
-    if not p >= 2:  # NaN fails every comparison
-        raise ConfigError("--p must be 2 <= p <= inf")
-    return p
 
 
 def parse_n_range(args) -> list[int]:
@@ -273,16 +269,20 @@ def cmd_convergence(args) -> int:
         write_out(json_text(doc), args.out)
         return EXIT_OK
     errs = study.errors_for_p()
+    general_p = p not in (2.0, math.inf)  # the slope is fitted on error_p
     rows = []
     for k, row in enumerate(study.rows):
         _, _, fit = analysis._slope_fits(study.rows[: k + 1], errs[: k + 1], func.d)
         running = fit[0] if fit else None
-        rows.append([row.n, row.N, row.error_inf, row.error_2, running])
+        rows.append([row.n, row.N, row.error_inf, row.error_2,
+                     *([row.error_p] if general_p else []), running])
+    header = ["n", "N", "error_inf", "error_2", *(["error_p"] if general_p else []),
+              "slope_running"]
     comments = [
-        f"function={func.name} d={func.d} p={args.p or 'inf'} "
+        f"function={func.name} d={func.d} p={fmt(p)} "
         f"log_exponent=3(d-1)={3 * (func.d - 1)}"
     ]
-    write_out(csv_text(["n", "N", "error_inf", "error_2", "slope_running"], rows, comments), args.out)
+    write_out(csv_text(header, rows, comments), args.out)
     return EXIT_OK
 
 
@@ -344,7 +344,7 @@ def cmd_resources(args) -> int:
         rows = [[e["epsilon"], e["d"], e["formula"], e["lambert_w"], e["refined_depth"],
                  e["refined_width"], e["simplified_depth"], e["simplified_width"]]
                 for e in estimates]
-        write_out(csv_text(header, rows, [f"p={args.p or '2'}"]), args.out)
+        write_out(csv_text(header, rows, [f"p={fmt(p)}"]), args.out)
     else:
         write_out(json_text(doc), args.out)
     return EXIT_OK
@@ -521,14 +521,23 @@ def _config_defaults(args) -> dict:
     return defaults
 
 
+def _parse(parser, subparsers, argv) -> argparse.Namespace:
+    # argparse hands a subcommand's unknown options up to the top-level parser;
+    # report them with the usage of the command they were given to
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        subparsers[args.command].error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, subparsers, argv)
         if args.config:
             # config values become the subcommand's defaults, so explicit flags win
             subparsers[args.command].set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            args = _parse(parser, subparsers, argv)
         return args.handler(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -1,11 +1,12 @@
 """Linear-combination-of-unitaries assembly and interferometric readout.
 
-Given positive coefficients a_1..a_M and term unitaries U_1..U_M (signs are
-absorbed into the terms), the combination is realised by sandwiching the
-select operation between a state-preparation oracle F and its inverse:
+Given signed weights a_1..a_M and term unitaries U_1..U_M (an ``LcuPlan``),
+the combination is realised by sandwiching the select operation, which
+applies sign(a_j) U_j on branch j, between a state-preparation oracle F and
+its inverse:
 
-    F|0> = (1/sqrt(||a||_1)) sum_j sqrt(a_j) |j>,
-    U_LCU = (I (x) F^dag) (sum_j U_j (x) |j><j|) (I (x) F),
+    F|0> = (1/sqrt(||a||_1)) sum_j sqrt(|a_j|) |j>,
+    U_LCU = (I (x) F^dag) (sum_j sign(a_j) U_j (x) |j><j|) (I (x) F),
 
 so that <0|U_LCU|0> = (1/||a||_1) sum_j a_j <0|U_j|0>.  The real part of that
 amplitude is read out exactly with a one-ancilla Hadamard test; callers
@@ -23,7 +24,8 @@ construction (M = 1 needs no ancilla and no controls).
 Each matrix is checked once: F when it is built, W(u) when it is bound (once
 per distinct coordinate, degree and argument of a plan).  The select gates,
 F^dag and the Hadamard-test wrap derive from those checked gates and reuse
-their read-only matrices.
+their read-only matrices.  The plan is checked once too, when it is built;
+it is frozen, so assembly does not check it again.
 """
 
 from __future__ import annotations
@@ -80,47 +82,53 @@ def prepare_state_unitary(coefficients) -> np.ndarray:
     return f.astype(complex)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LcuPlan:
     """Everything needed to assemble one combination circuit.
 
-    ``coefficients`` are the positive magnitudes (signs live in
-    ``term_signs``), ``term_circuits`` are width-d circuits made of
-    single-qubit gates, ``one_norm`` = sum of coefficients.
+    ``weights`` are the signed term weights a_j (finite, non-zero, read-only)
+    and ``term_circuits`` the width-d circuits of single-qubit gates, one per
+    weight.  The rest derives from the weights: the positive magnitudes
+    ``coefficients``, the +-1 ``term_signs``, ``one_norm`` = ||a||_1 and the
+    ``ancilla_count`` of selector qubits.
     """
 
-    coefficients: np.ndarray
-    term_circuits: list[Circuit]
-    term_signs: np.ndarray
-    ancilla_count: int
-    one_norm: float
+    weights: np.ndarray
+    term_circuits: tuple[Circuit, ...]
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float).reshape(-1)
-        self.term_signs = np.asarray(self.term_signs, dtype=float).reshape(-1)
-        self.check()
-
-    def check(self) -> None:
-        """Raise unless the fields agree; assembly builds its gates on this."""
-        m = self.coefficients.size
-        if m == 0:
+        weights = np.array(self.weights, dtype=float).reshape(-1)  # own copy, frozen
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "term_circuits", tuple(self.term_circuits))
+        if weights.size == 0:
             raise ValueError("a plan needs at least one term")
-        if np.any(self.coefficients <= 0.0):
-            raise ValueError("plan coefficients must be strictly positive")
-        if self.term_signs.size != m or len(self.term_circuits) != m:
-            raise ValueError("coefficients, signs, and circuits must align")
-        if np.any(np.abs(self.term_signs) != 1.0):
-            raise ValueError("term signs must be +1 or -1")
+        if not np.all(np.isfinite(weights) & (weights != 0.0)):
+            raise ValueError("plan weights must be finite and non-zero")
+        if len(self.term_circuits) != weights.size:
+            raise ValueError("weights and circuits must align")
         if {c.width for c in self.term_circuits} != {self.data_width} or not self.data_width:
             raise ValueError("term circuits must share one data width >= 1")
-        if self.ancilla_count != ancilla_count(m):
-            raise ValueError("ancilla_count inconsistent with the term count")
-        if abs(self.one_norm - self.coefficients.sum()) > 1e-12 * max(1.0, self.one_norm):
-            raise ValueError("one_norm does not match the coefficient sum")
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return np.abs(self.weights)
+
+    @property
+    def term_signs(self) -> np.ndarray:
+        return np.sign(self.weights)
+
+    @property
+    def one_norm(self) -> float:
+        return float(np.abs(self.weights).sum())
+
+    @property
+    def ancilla_count(self) -> int:
+        return ancilla_count(self.term_count)
 
     @property
     def term_count(self) -> int:
-        return self.coefficients.size
+        return self.weights.size
 
     @property
     def data_width(self) -> int:
@@ -156,14 +164,7 @@ def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
                 bound[j, k, u] = [shifted(op, j) for op in qsp.bind_signal(symbolic[k], u).ops]
             circ.extend(bound[j, k, u])
         circuits.append(circ)
-    weights = np.array([t.weight for t in kept])
-    return LcuPlan(
-        coefficients=np.abs(weights),
-        term_circuits=circuits,
-        term_signs=np.sign(weights),
-        ancilla_count=ancilla_count(len(kept)),
-        one_norm=float(np.abs(weights).sum()),
-    )
+    return LcuPlan(np.array([t.weight for t in kept]), circuits)
 
 
 def assemble_lcu(plan: LcuPlan) -> Circuit:
@@ -174,7 +175,6 @@ def assemble_lcu(plan: LcuPlan) -> Circuit:
     an identity gate on qubit 0 when a negative term has none), then F^dag.
     <00..0|circuit|00..0> is the combination divided by ||a||_1.
     """
-    plan.check()  # the fields may have changed since construction
     d = plan.data_width
     s = plan.ancilla_count
     sel = tuple(range(d, d + s))

@@ -14,7 +14,9 @@ Chebyshev polynomials:
 
 ``chebyshev_circuit`` builds this zero-phase instance as a symbolic width-1
 circuit (x is bound later with ``bind_signal``); finding phases for other
-target polynomials is out of scope.
+target polynomials is out of scope.  ``bind_signal`` checks W(x) once per
+placeholder gate (``chebyshev_circuit`` shares one) and copies the other ops
+unchecked, since they already fit the circuit's width.
 """
 
 from __future__ import annotations
@@ -92,14 +94,7 @@ def chebyshev_circuit(r: int, include_identity: bool = True) -> Circuit:
 def bind_signal(circuit: Circuit, x: float) -> Circuit:
     """Substitute W(x) for every placeholder signal gate of ``circuit``."""
     w = signal_encoding(x)
-    bound: dict[tuple, Gate] = {}  # gates are immutable, share repeats
-    ops = []
-    for op in circuit.ops:
-        if getattr(op, "label", "") == SIGNAL_LABEL:
-            key = (op.targets, op.controls, op.control_values)
-            if key not in bound:
-                bound[key] = Gate(w, *key, label=SIGNAL_LABEL)
-            ops.append(bound[key])
-        else:
-            ops.append(op)
-    return Circuit(circuit.width, ops)
+    # gates are immutable: each placeholder gate becomes one bound gate, shared
+    bound = {op: Gate(w, op.targets, op.controls, op.control_values, label=SIGNAL_LABEL)
+             for op in set(circuit.ops) if op.label == SIGNAL_LABEL}
+    return Circuit._trusted(circuit.width, [bound.get(op, op) for op in circuit.ops])

@@ -165,8 +165,12 @@ class Circuit:
             self.append(op)
         return self
 
-    def __len__(self) -> int:
-        return len(self.ops)
+    @classmethod
+    def _trusted(cls, width: int, ops: list[Gate]) -> "Circuit":
+        """A circuit built without checks, for ops already checked against ``width``."""
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(width=width, ops=ops)
+        return circuit
 
 
 @dataclass(eq=False)
@@ -189,9 +193,6 @@ class Statevector:
         amps = np.zeros(2 ** width, dtype=complex)
         amps[0] = 1.0
         return cls(amps, width)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -304,31 +305,20 @@ class ResourceReport:
     touch_depth: int
 
 
-def qubit_touch_counts(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """Per-qubit (multi-qubit-gate count, weighted touch count)."""
+def resource_report(circuit: Circuit) -> ResourceReport:
     multi = [0] * circuit.width
     touch = [0] * circuit.width
+    finish = [0] * circuit.width
+    gate_count = 0
     for op in circuit.ops:
         touched = op.touched()
         w = max(1, len(op.controls))
         wide = len(touched) >= 2
-        for q in touched:
-            touch[q] += w
-            if wide:
-                multi[q] += 1
-    return multi, touch
-
-
-def resource_report(circuit: Circuit) -> ResourceReport:
-    multi, touch = qubit_touch_counts(circuit)
-    gate_count = 0
-    finish = [0] * circuit.width
-    for op in circuit.ops:
-        touched = op.touched()
-        w = max(1, len(op.controls))
         gate_count += w
         start = max((finish[q] for q in touched), default=0)
         for q in touched:
+            multi[q] += wide
+            touch[q] += w
             finish[q] = start + w
     return ResourceReport(
         width=circuit.width,

@@ -164,6 +164,18 @@ class TestConvergence:
         assert running[0] == ""
         assert float(running[-1]) == json.loads(doc)["slope"]
 
+    def test_general_p_csv_prints_error_p(self, tmp_path):
+        # for p outside {2, inf} the running slope is fitted on error_p
+        argv = ["convergence", "--fn", "prod-sin", "--d", "2", "--p", "3", "--n-range", "2..4"]
+        _, data = run_cli(argv, tmp_path, "conv.csv")
+        lines = data.decode().splitlines()
+        assert lines[1] == "n,N,error_inf,error_2,error_p,slope_running"
+        rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+        _, doc = run_cli(argv + ["--format", "json"], tmp_path, "conv.json")
+        doc = json.loads(doc)
+        assert [float(r["error_p"]) for r in rows] == [r["error_p"] for r in doc["rows"]]
+        assert float(rows[-1]["slope_running"]) == doc["slope"]
+
     def test_json_slope(self, tmp_path):
         code, data = run_cli(
             ["convergence", "--fn", "prod-quad", "--d", "1", "--p", "inf",
@@ -379,6 +391,12 @@ class TestDeclaration:
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_foreign_option_names_its_command(self, tmp_path, capsys):
+        code, data = run_cli(["coeffs", "--p", "banana"], tmp_path, "out")
+        assert (code, data) == (2, b"")
+        err = capsys.readouterr().err
+        assert "usage: qkorobov coeffs" in err and "unrecognized arguments: --p banana" in err
+
     @pytest.mark.parametrize("command", ["eval", "resources"])
     def test_foreign_format_exits_2(self, tmp_path, command):
         argv = [command, *BASE_ARGS[command], "--format", "svg"]
@@ -429,6 +447,28 @@ class TestConfigPrecedence:
         code, data = run_cli([command] + self.config(tmp_path, doc), tmp_path, "out")
         assert (code, data) == (2, b"")
         assert f"not an option of {command!r}" in capsys.readouterr().err
+
+
+class TestParsedP:
+    # the CSV comment line shows the p the command ran with, as JSON does
+    @pytest.mark.parametrize("text", ["1e400", "2.50", "oo", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["convergence", "--fn", "prod-quad", "--d", "1", "--n-range", "2..3"],
+        ["resources", "--d", "1", "--n", "1"],
+    ], ids=["convergence", "resources"])
+    def test_csv_p_equals_json_p(self, tmp_path, command, text):
+        _, csv = run_cli(command + ["--p", text, "--format", "csv"], tmp_path, "p.csv")
+        _, doc = run_cli(command + ["--p", text, "--format", "json"], tmp_path, "p.json")
+        [csv_p] = [f[2:] for f in csv.decode().splitlines()[0].split() if f.startswith("p=")]
+        [json_p] = [line.split(": ")[1].strip('",') for line in doc.decode().splitlines()
+                    if line.startswith('  "p": ')]
+        assert csv_p == json_p
+
+    @pytest.mark.parametrize("command", [["convergence", "--n", "2"], ["resources", "--n", "1"]],
+                             ids=["convergence", "resources"])
+    def test_p_below_2_is_config_error(self, tmp_path, command):
+        code, data = run_cli(command + ["--p", "1"], tmp_path, "out")
+        assert (code, data) == (2, b"")
 
 
 class TestInputChecks:

@@ -1,5 +1,6 @@
 """State preparation, select ops, the assembled sandwich, and readout."""
 
+import dataclasses
 import itertools
 import math
 
@@ -18,6 +19,7 @@ from qkorobov.lcu import (
     prepare_state_unitary,
 )
 from qkorobov import qsp
+from qkorobov.analysis import corpus, generic_point
 from qkorobov.qsp import bind_signal, chebyshev_circuit
 from qkorobov.simulator import (
     Circuit,
@@ -35,16 +37,9 @@ PROD_QUAD_1 = lambda X: X[:, 0] * (1 - X[:, 0])
 PROD_QUAD_2 = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1])
 
 
-def identity_plan(coefficients, signs):
-    m = len(coefficients)
-    circuits = [Circuit(1, [Gate(IDENTITY_2, (0,))]) for _ in range(m)]
-    return LcuPlan(
-        coefficients=np.asarray(coefficients, dtype=float),
-        term_circuits=circuits,
-        term_signs=np.asarray(signs, dtype=float),
-        ancilla_count=ancilla_count(m),
-        one_norm=float(np.sum(coefficients)),
-    )
+def identity_plan(weights):
+    circuits = [Circuit(1, [Gate(IDENTITY_2, (0,))]) for _ in weights]
+    return LcuPlan(weights, circuits)
 
 
 class TestPrepareState:
@@ -94,13 +89,7 @@ def select_segment(plan):
 class TestMultiplexer:
     # the select block of assemble_lcu: one selector-controlled gate per term gate
     def test_single_term_is_plain_gate(self):
-        plan = LcuPlan(
-            coefficients=np.array([1.0]),
-            term_circuits=[Circuit(1, [Gate(PAULI_X, (0,))])],
-            term_signs=np.array([1.0]),
-            ancilla_count=0,
-            one_norm=1.0,
-        )
+        plan = LcuPlan(np.array([1.0]), [Circuit(1, [Gate(PAULI_X, (0,))])])
         circuit = assemble_lcu(plan)
         assert circuit.width == 1
         [op] = circuit.ops
@@ -108,27 +97,21 @@ class TestMultiplexer:
         np.testing.assert_allclose(op.matrix, PAULI_X)
 
     def test_two_term_selector(self):
-        plan = identity_plan([1.0, 1.0], [1.0, 1.0])
-        plan.term_circuits[1] = Circuit(1, [Gate(PAULI_X, (0,))])
+        circuits = [Circuit(1, [Gate(IDENTITY_2, (0,))]), Circuit(1, [Gate(PAULI_X, (0,))])]
+        plan = LcuPlan(np.array([1.0, 1.0]), circuits)
         dense = circuit_unitary(select_segment(plan))
         expected = np.eye(4, dtype=complex)
         expected[2:, 2:] = PAULI_X
         np.testing.assert_allclose(dense, expected, atol=1e-14)
 
     def test_sign_becomes_branch_phase(self):
-        dense = circuit_unitary(select_segment(identity_plan([1.0, 1.0], [1.0, -1.0])))
+        dense = circuit_unitary(select_segment(identity_plan([1.0, -1.0])))
         expected = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
         np.testing.assert_allclose(dense, expected, atol=1e-14)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
-            LcuPlan(
-                coefficients=np.array([1.0, 1.0]),
-                term_circuits=[Circuit(1), Circuit(2)],
-                term_signs=np.array([1.0, 1.0]),
-                ancilla_count=1,
-                one_norm=2.0,
-            )
+            LcuPlan(np.array([1.0, 1.0]), [Circuit(1), Circuit(2)])
 
 
 class TestAssemble:
@@ -140,23 +123,17 @@ class TestAssemble:
         assert amp.real == pytest.approx(0.25, abs=1e-14)
 
     def test_two_identity_terms(self):
-        circuit = assemble_lcu(identity_plan([1.0, 1.0], [1.0, 1.0]))
+        circuit = assemble_lcu(identity_plan([1.0, 1.0]))
         assert circuit.width == 2
         assert direct_amplitude(circuit).real == pytest.approx(1.0, abs=1e-12)
 
     def test_cancellation(self):
-        circuit = assemble_lcu(identity_plan([1.0, 1.0], [1.0, -1.0]))
+        circuit = assemble_lcu(identity_plan([1.0, -1.0]))
         assert abs(direct_amplitude(circuit)) <= 1e-12
 
     def test_gate_free_negative_term_keeps_its_sign(self):
         # degree-0 terms have no gates when identity gates are left out
-        plan = LcuPlan(
-            coefficients=np.array([1.0, 1.0]),
-            term_circuits=[Circuit(1), Circuit(1)],
-            term_signs=np.array([1.0, -1.0]),
-            ancilla_count=1,
-            one_norm=2.0,
-        )
+        plan = LcuPlan(np.array([1.0, -1.0]), [Circuit(1), Circuit(1)])
         assert abs(direct_amplitude(assemble_lcu(plan))) <= 1e-12
 
     def test_identity_free_circuit_matches_classical(self):
@@ -183,27 +160,6 @@ class TestAssemble:
             assembled, f_full.conj().T @ select @ f_full, atol=1e-12
         )
 
-    def test_plan_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            identity_plan([1.0, -1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match="one_norm"):
-            LcuPlan(
-                coefficients=np.array([1.0]),
-                term_circuits=[Circuit(1, [Gate(IDENTITY_2, (0,))])],
-                term_signs=np.array([1.0]),
-                ancilla_count=0,
-                one_norm=2.0,
-            )
-
-    def test_non_unit_sign_rejected(self):
-        # a sign of 0.5 would make the select block non-unitary
-        with pytest.raises(ValueError, match="signs must be"):
-            identity_plan([1.0, 1.0], [1.0, 0.5])
-        plan = identity_plan([1.0, 1.0], [1.0, 1.0])
-        plan.term_signs[1] = -0.5
-        with pytest.raises(ValueError, match="signs must be"):
-            assemble_lcu(plan)
-
     def test_each_argument_bound_once(self, monkeypatch):
         calls = []
         original = qsp.bind_signal
@@ -216,18 +172,56 @@ class TestAssemble:
         assert len(calls) == len(distinct) < len(terms) * 2  # the terms share arguments
 
 
+class TestPlan:
+    # everything but the weights and term circuits derives from the weights
+    def test_derived_fields_match_formulas(self):
+        rng = np.random.default_rng(61)
+        for func in corpus():
+            for n in range(1, 7):
+                smap = surplus_coefficients(func.f, n, func.d)
+                for x in [generic_point(func.d), np.full(func.d, 0.375), *rng.random((2, func.d))]:
+                    terms = chebyshev_expansion(smap, x)
+                    plan = plan_from_terms(terms, func.d)
+                    w = np.array([t.weight for t in terms if t.weight != 0.0])
+                    if not w.size:
+                        assert plan is None
+                        continue
+                    np.testing.assert_array_equal(plan.weights, w)
+                    np.testing.assert_array_equal(plan.coefficients, np.abs(w))
+                    np.testing.assert_array_equal(plan.term_signs, np.sign(w))
+                    assert plan.one_norm == float(np.abs(w).sum())
+                    assert plan.ancilla_count == max(0, math.ceil(math.log2(w.size)))
+                    assert plan.term_count == len(plan.term_circuits) == w.size
+                    assert plan.data_width == func.d
+
+    def test_zero_or_nan_weight_rejected(self):
+        for bad in (0.0, -0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and non-zero"):
+                identity_plan([1.0, bad])
+        with pytest.raises(ValueError, match="at least one term"):
+            identity_plan([])
+        with pytest.raises(ValueError, match="align"):
+            LcuPlan(np.array([1.0, -1.0]), [Circuit(1)])
+
+    def test_weights_are_read_only(self):
+        given = np.array([0.5, -2.0])
+        plan = identity_plan(given)
+        with pytest.raises(ValueError, match="read-only"):
+            plan.weights[1] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.weights = np.array([0.5, 2.0])
+        given[1] = 2.0  # the plan keeps its own copy
+        np.testing.assert_array_equal(plan.term_signs, [1.0, -1.0])
+        assert plan.one_norm == 2.5
+        assert isinstance(plan.term_circuits, tuple)
+
+
 def plan_from_terms_from_circuit(x):
     """Plan with the single degree-1 term bound at x."""
     circ = Circuit(1)
     for op in bind_signal(chebyshev_circuit(1), x).ops:
         circ.append(Gate(op.matrix, (0,), label=op.label))
-    return LcuPlan(
-        coefficients=np.array([1.0]),
-        term_circuits=[circ],
-        term_signs=np.array([1.0]),
-        ancilla_count=0,
-        one_norm=1.0,
-    )
+    return LcuPlan(np.array([1.0]), [circ])
 
 
 class TestHadamardTest:

@@ -13,7 +13,6 @@ from qkorobov.simulator import (
     circuit_unitary,
     controlled,
     expectation_z_first,
-    qubit_touch_counts,
     resource_report,
     run_circuit,
     shifted,
@@ -32,6 +31,21 @@ def random_unitary(rng, dim):
 
 def bit(index, qubit):
     return (index >> qubit) & 1
+
+
+def qubit_touch_counts(circuit):
+    """Per-qubit (multi-qubit-gate count, weighted touch count): the plain reference."""
+    multi = [0] * circuit.width
+    touch = [0] * circuit.width
+    for op in circuit.ops:
+        touched = op.touched()
+        w = max(1, len(op.controls))
+        wide = len(touched) >= 2
+        for q in touched:
+            touch[q] += w
+            if wide:
+                multi[q] += 1
+    return multi, touch
 
 
 class TestApplyGate:
@@ -181,6 +195,25 @@ class TestResourceReport:
             assert report.multi_depth <= report.touch_depth <= report.gate_count
             assert report.touch_depth <= report.layered_depth
 
+    def test_one_walk_matches_reference_counts(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            width = int(rng.integers(1, 7))
+            circ = Circuit(width)
+            for _ in range(int(rng.integers(0, 12))):
+                q = int(rng.integers(width))
+                free = [c for c in range(width) if c != q]
+                n_ctrl = int(rng.integers(0, len(free) + 1))
+                ctrls = tuple(rng.choice(free, size=n_ctrl, replace=False)) if n_ctrl else ()
+                values = tuple(int(v) for v in rng.integers(0, 2, size=n_ctrl))
+                circ.append(Gate(random_unitary(rng, 2), (q,), ctrls, values))
+            multi, touch = qubit_touch_counts(circ)
+            report = resource_report(circ)
+            assert report.multi_depth == max(multi, default=0)
+            assert report.touch_depth == max(touch, default=0)
+            assert report.gate_count == sum(max(1, len(op.controls)) for op in circ.ops)
+            assert report.width == width
+
     def test_width1_touch_equals_gate_count(self):
         for r in (0, 1, 5, 12):
             report = resource_report(chebyshev_circuit(r))
@@ -216,7 +249,7 @@ class TestNormAndLinearity:
                 targets = tuple(rng.choice(width, size=k, replace=False))
                 circ.append(Gate(random_unitary(rng, 2 ** k), targets))
             out = run_circuit(circ, Statevector.zero(width))
-            assert abs(out.norm() - 1.0) <= 1e-10
+            assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
     def test_gate_application_is_linear(self):
         rng = np.random.default_rng(3)
