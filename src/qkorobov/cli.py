@@ -17,8 +17,8 @@ of the command; its values become the subcommand's defaults before a second
 parse, so an explicit flag always wins.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant/audit violation.
-Every command is deterministic given its arguments and seed; numbers are
-serialized with 17 significant digits so doubles round-trip exactly.
+Every command is deterministic given its arguments and seed; CSV (17
+significant digits) and JSON (shortest repr) both round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence
 
 
 def json_text(doc) -> str:
-    # floats through fmt() keep the 17-digit contract inside strings-free JSON
+    # json.dumps writes finite floats as their shortest round-trip repr
     def clean(obj):
         if isinstance(obj, float):
-            return float(fmt(obj)) if math.isfinite(obj) else repr(obj)
+            return obj if math.isfinite(obj) else repr(float(obj))
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
@@ -394,7 +394,9 @@ def cmd_circuit(args) -> int:
     func = resolve_function(args)
     n = args.n if args.n is not None else 2
     points = parse_points(args.x or "0.5", func.d)
-    x = points[0]
+    if len(points) != 1:
+        raise ConfigError(f"circuit traces one point; --x gives {len(points)}")
+    [x] = points
     smap = sparsegrid.surplus_coefficients(func.f, n, func.d)
     plan = lcu.plan_from_terms(
         sparsegrid.chebyshev_expansion(smap, x), func.d,

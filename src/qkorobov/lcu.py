@@ -25,7 +25,8 @@ Each matrix is checked once: F when it is built, W(u) when it is bound (once
 per distinct coordinate, degree and argument of a plan).  The select gates,
 F^dag and the Hadamard-test wrap derive from those checked gates and reuse
 their read-only matrices.  The plan is checked once too, when it is built;
-it is frozen, so assembly does not check it again.
+it is frozen, term circuits included, so assembly does not check it again.
+Each builder here collects its ops and constructs one ``Circuit``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .simulator import (
     HADAMARD,
     IDENTITY_2,
     ResourceReport,
-    Statevector,
     controlled,
     expectation_z_first,
     resource_report,
@@ -152,7 +152,7 @@ def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
     for t in kept:
         if len(t.degrees) != d:
             raise ValueError("term dimension does not match d")
-        circ = Circuit(width=d)
+        ops: list[Gate] = []
         for j, (k, u) in enumerate(zip(t.degrees, t.arguments)):
             if abs(u) > 1.0:
                 raise ValueError(
@@ -162,8 +162,8 @@ def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
                 if k not in symbolic:
                     symbolic[k] = qsp.chebyshev_circuit(k, include_identity)
                 bound[j, k, u] = [shifted(op, j) for op in qsp.bind_signal(symbolic[k], u).ops]
-            circ.extend(bound[j, k, u])
-        circuits.append(circ)
+            ops += bound[j, k, u]
+        circuits.append(Circuit(d, ops))
     return LcuPlan(np.array([t.weight for t in kept]), circuits)
 
 
@@ -178,46 +178,40 @@ def assemble_lcu(plan: LcuPlan) -> Circuit:
     d = plan.data_width
     s = plan.ancilla_count
     sel = tuple(range(d, d + s))
-    circuit = Circuit(width=d + s)
+    ops: list[Gate] = []
     if s:
         prepare = Gate(prepare_state_unitary(plan.coefficients), targets=sel, label="prepare")
-        circuit.append(prepare)
+        ops.append(prepare)
     for j, (sign, term) in enumerate(zip(plan.term_signs, plan.term_circuits)):
         bits = tuple((j >> b) & 1 for b in range(s))
-        ops = term.ops
-        if sign < 0 and not ops:
+        gates = term.ops
+        if sign < 0 and not gates:
             # a gate-free term (degree 0 without identity gates) still carries its sign
-            ops = [Gate(IDENTITY_2, targets=(0,))]
-        for pos, op in enumerate(ops):
+            gates = (Gate(IDENTITY_2, targets=(0,)),)
+        for pos, op in enumerate(gates):
             mat = sign * op.matrix if pos == 0 and sign < 0 else op.matrix
-            circuit.append(Gate._trusted(mat, op.targets, op.controls + sel,
-                                         op.control_values + bits, f"term-{j}"))
+            ops.append(Gate._trusted(mat, op.targets, op.controls + sel,
+                                     op.control_values + bits, f"term-{j}"))
     if s:
-        circuit.append(Gate._trusted(prepare.matrix.conj().T, sel, label="unprepare"))
-    return circuit
+        ops.append(Gate._trusted(prepare.matrix.conj().T, sel, label="unprepare"))
+    return Circuit(d + s, ops)
 
 
 def hadamard_test_circuit(target: Circuit) -> Circuit:
     """One-ancilla interferometer for Re<0|target|0>, ancilla in front."""
-    circuit = Circuit(width=target.width + 1)
     h = Gate(HADAMARD, targets=(0,), label="h")
-    circuit.append(h)
-    for op in target.ops:
-        circuit.append(controlled(shifted(op, 1), control=0))
-    circuit.append(h)
-    return circuit
+    body = [controlled(shifted(op, 1), control=0) for op in target.ops]
+    return Circuit(target.width + 1, [h, *body, h])
 
 
 def hadamard_test(target: Circuit) -> float:
     """Exact Re<0|target|0> via the test circuit's Z expectation."""
-    final = run_circuit(hadamard_test_circuit(target))
-    return expectation_z_first(final)
+    return expectation_z_first(run_circuit(hadamard_test_circuit(target)))
 
 
 def direct_amplitude(target: Circuit) -> complex:
     """<0...0|target|0...0> read straight off the statevector."""
-    final = run_circuit(target, Statevector.zero(target.width))
-    return complex(final.amplitudes[0])
+    return complex(run_circuit(target).amplitudes[0])
 
 
 def evaluate_via_circuit(s: SurplusMap, x, include_identity: bool = True

@@ -31,32 +31,28 @@ SIGNAL_LABEL = "signal"
 PHASE_LABEL = "phase"
 
 
-def chebyshev_first_kind(r: int, x):
-    """T_r(x) by the three-term recurrence T_r = 2x T_{r-1} - T_{r-2}."""
+def _three_term(r: int, x, slope: float):
+    """P_r(x) from P_0 = 1, P_1 = slope * x and P_r = 2x P_{r-1} - P_{r-2}."""
     if r < 0:
         raise ValueError("degree must be non-negative")
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if r == 0:
         return prev if prev.ndim else float(prev)
-    cur = x.copy()
+    cur = slope * x
     for _ in range(r - 1):
         prev, cur = cur, 2.0 * x * cur - prev
     return cur if cur.ndim else float(cur)
+
+
+def chebyshev_first_kind(r: int, x):
+    """T_r(x) by the three-term recurrence T_r = 2x T_{r-1} - T_{r-2}."""
+    return _three_term(r, x, 1.0)
 
 
 def chebyshev_second_kind(r: int, x):
     """U_r(x) with U_0 = 1, U_1 = 2x, U_r = 2x U_{r-1} - U_{r-2}."""
-    if r < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if r == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 2.0 * x
-    for _ in range(r - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur if cur.ndim else float(cur)
+    return _three_term(r, x, 2.0)
 
 
 def signal_encoding(x: float) -> np.ndarray:
@@ -79,16 +75,11 @@ def chebyshev_circuit(r: int, include_identity: bool = True) -> Circuit:
     """
     if r < 0:
         raise ValueError("degree must be non-negative")
-    circuit = Circuit(width=1)
     phase = Gate(IDENTITY_2, targets=(0,), label=PHASE_LABEL)
     signal = Gate(IDENTITY_2, targets=(0,), label=SIGNAL_LABEL)
     if include_identity:
-        circuit.append(phase)
-    for _ in range(r):
-        circuit.append(signal)
-        if include_identity:
-            circuit.append(phase)
-    return circuit
+        return Circuit(1, [phase] + [signal, phase] * r)
+    return Circuit(1, [signal] * r)
 
 
 def bind_signal(circuit: Circuit, x: float) -> Circuit:
@@ -97,4 +88,4 @@ def bind_signal(circuit: Circuit, x: float) -> Circuit:
     # gates are immutable: each placeholder gate becomes one bound gate, shared
     bound = {op: Gate(w, op.targets, op.controls, op.control_values, label=SIGNAL_LABEL)
              for op in set(circuit.ops) if op.label == SIGNAL_LABEL}
-    return Circuit._trusted(circuit.width, [bound.get(op, op) for op in circuit.ops])
+    return Circuit._trusted(circuit.width, tuple([bound.get(op, op) for op in circuit.ops]))

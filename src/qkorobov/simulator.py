@@ -16,6 +16,10 @@ Conventions used throughout the package:
   a checked gate (``shifted``, ``controlled``, a +-1 sign, an adjoint)
   reuse that read-only matrix without a second dense check; the role and
   width checks still run where they can fail.
+* ``Circuit`` is read-only: a width and a tuple of gates, checked in one
+  pass when it is built, so a builder collects its ops first.  Only
+  ``qsp.bind_signal``, which swaps gates one for one on the same wiring,
+  skips that check (``Circuit._trusted``), as derived gates do.
 * Simulation is exact and dense.  ``MAX_DENSE_WIDTH`` = 22 is the ceiling
   (the statevector alone is 64 MiB there), enforced before allocating;
   everything in this package uses width <= 13.  ``run_circuit`` fuses
@@ -32,8 +36,8 @@ circuits contain no controls, so their counts are unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -141,33 +145,24 @@ def shifted(op: Gate, offset: int) -> Gate:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Ordered unitary ops on a fixed-width register."""
+    """Ordered gates on a fixed-width register: checked once, read-only."""
 
     width: int
-    ops: list = field(default_factory=list)
+    ops: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         if not 0 <= self.width:
             raise ValueError("width must be non-negative")
-        ops, self.ops = list(self.ops), []
-        for op in ops:
-            self.append(op)
-
-    def append(self, op: Gate) -> "Circuit":
-        _validate_op(op, self.width)
-        self.ops.append(op)
-        return self
-
-    def extend(self, ops: Iterable[Gate]) -> "Circuit":
-        for op in ops:
-            self.append(op)
-        return self
+        object.__setattr__(self, "ops", tuple(self.ops))
+        bad = sorted({q for op in self.ops for q in op.touched() if q >= self.width})
+        if bad:
+            raise ValueError(f"op touches qubit(s) {bad} outside width {self.width}")
 
     @classmethod
-    def _trusted(cls, width: int, ops: list[Gate]) -> "Circuit":
-        """A circuit built without checks, for ops already checked against ``width``."""
+    def _trusted(cls, width: int, ops: tuple[Gate, ...]) -> "Circuit":
+        """A circuit built without checks, for ops with the wiring of a checked circuit."""
         circuit = object.__new__(cls)
         circuit.__dict__.update(width=width, ops=ops)
         return circuit
@@ -246,13 +241,6 @@ def _run_ops(tensor: np.ndarray, circuit: "Circuit") -> np.ndarray:
     for matrix, op in _fused(circuit.ops):
         _apply_op(tensor, circuit.width, matrix, op)
     return tensor
-
-
-def _validate_op(op: Gate, width: int) -> None:
-    touched = op.touched()
-    if touched and max(touched) >= width:
-        bad = [q for q in touched if q >= width]
-        raise ValueError(f"op touches qubit(s) {bad} outside width {width}")
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:

@@ -28,10 +28,13 @@ non-finite or out-of-domain coordinate with a ValueError.
 
 A ``SurplusMap`` stores its coefficients only as one array per level, where
 cell c holds the node with odd index 2c + 1; GridIndex nodes are built only
-when a caller asks for them.  Every read locates its hats with one kernel,
-``_axis_cells``: for a coordinate x and a level l it gives the cell of the
-one hat whose support holds x, the hat value 1 - |u| and the local
-coordinate u in [-1, 1].  ``evaluate`` is a one-row ``evaluate_batch``;
+when a caller asks for them.  ``SurplusMap(d, n, arrays)`` is the one
+constructor, which ``surplus_coefficients`` and ``from_json_dict`` (numpy
+columns of level, index and value) both end in: it checks the arrays once
+and keeps them read-only, without a copy.  Every read locates its hats
+with one kernel, ``_axis_cells``: for a coordinate x and a level l it
+gives the cell of the one hat whose support holds x, the hat value
+1 - |u| and the local coordinate u in [-1, 1].  ``evaluate`` is a one-row ``evaluate_batch``;
 ``evaluate_grid`` and ``chebyshev_expansion`` read the same per-(axis,
 level) table.  For a point inside the supports, each per-coordinate hat
 splits into Chebyshev polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+
@@ -44,7 +47,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,19 +110,10 @@ def enumerate_levels(n: int, d: int) -> list[Level]:
     """All level vectors l >= 1 with ||l||_1 <= n + d - 1, lexicographic."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    out: list[Level] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for l in range(1, budget - (remaining - 1) + 1):
-            prefix.append(l)
-            rec(prefix, remaining - 1, budget - l)
-            prefix.pop()
-
-    rec([], d, n + d - 1)
-    return out
+    levels: list[Level] = [()]
+    for j in range(d):  # component j leaves at least 1 for each of the d - 1 - j after it
+        levels = [p + (l,) for p in levels for l in range(1, n + j - sum(p) + 1)]
+    return levels
 
 
 def _check_level(level: Sequence[int]) -> Level:
@@ -138,52 +134,50 @@ def index_set(level: Sequence[int]) -> list[GridIndex]:
 
 def grid_count(n: int, d: int) -> int:
     """Exact number of sparse-grid nodes at truncation level n."""
-    return sum(
-        int(np.prod([2 ** (l - 1) for l in level])) for level in enumerate_levels(n, d)
-    )
+    return sum(2 ** (sum(level) - len(level)) for level in enumerate_levels(n, d))
 
 
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class SurplusMap:
     """Hierarchical surplus coefficients of one function at truncation n.
 
     The coefficients (zeros included) live in one array per level vector l,
-    of shape (2^(l_1 - 1), ..., 2^(l_d - 1)).  ``items()``, ``entries`` and
-    ``smap[g]`` are views built on demand, in lexicographic (level, index) order.
+    of shape (2^(l_1 - 1), ..., 2^(l_d - 1)).  The constructor checks them
+    once and makes them, and any array they view, read-only.  ``items()``,
+    ``entries`` and ``smap[g]`` are views built on demand, in lexicographic
+    (level, index) order.
     """
 
-    def __init__(self, d: int, n: int, entries: dict[GridIndex, float]):
-        self.d, self.n = int(d), int(n)
-        expected = grid_count(self.n, self.d)
-        if len(entries) != expected:
-            raise ValueError(
-                f"{len(entries)} entries, but the level-{self.n} index set holds {expected}"
-            )
-        self._level_arrays = {
-            level: np.empty([2 ** (l - 1) for l in level]) for level in self.levels()
-        }
-        # N distinct nodes of the index set fill each of its N cells once
-        for g, v in entries.items():
-            if g.level not in self._level_arrays:
-                raise ValueError(
-                    f"node level {list(g.level)} index {list(g.index)} is not in the "
-                    f"level-{self.n} index set of dimension {self.d}"
-                )
-            self._level_arrays[g.level][tuple((i - 1) // 2 for i in g.index)] = v
-        for level, values in self._level_arrays.items():
-            finite = np.isfinite(values).reshape(-1)
-            if not finite.all():
-                g = index_set(level)[int(np.argmin(finite))]
-                raise ValueError(
-                    f"coefficient of level {list(g.level)} index {list(g.index)} is "
-                    f"{self[g]!r}; every coefficient must be finite"
-                )
+    d: int
+    n: int
+    _level_arrays: Mapping[Level, np.ndarray]
 
-    @classmethod
-    def _from_arrays(cls, d: int, n: int, arrays: dict[Level, np.ndarray]) -> "SurplusMap":
-        """A map over finished per-level arrays, keyed in ``enumerate_levels`` order."""
-        smap = object.__new__(cls)
-        smap.d, smap.n, smap._level_arrays = d, n, arrays
-        return smap
+    def __init__(self, d: int, n: int, arrays: Mapping[Level, np.ndarray]):
+        levels = enumerate_levels(int(n), int(d))
+        if set(arrays) != set(levels):
+            raise ValueError(f"level arrays of the level-{n} index set of dimension {d}: "
+                             f"missing {[l for l in levels if l not in arrays]}, "
+                             f"extra {[l for l in arrays if l not in set(levels)]}")
+        stored = {}
+        for level in levels:
+            values = np.ascontiguousarray(arrays[level], dtype=float)
+            shape = tuple(2 ** (l - 1) for l in level)
+            if values.shape != shape:
+                raise ValueError(
+                    f"level {list(level)} needs an array of shape {shape}, got {values.shape}")
+            finite = np.isfinite(values)
+            if not finite.all():
+                cell = np.unravel_index(int(np.argmin(finite)), shape)
+                raise ValueError(
+                    f"coefficient of level {list(level)} index {[2 * int(c) + 1 for c in cell]} "
+                    f"is {values[cell].item()!r}; every coefficient must be finite")
+            base = values
+            while isinstance(base, np.ndarray):  # a writeable base would reach the cells too
+                base.flags.writeable = False
+                base = base.base
+            stored[level] = values
+        # frozen: the fields are set once, here
+        self.__dict__.update(d=int(d), n=int(n), _level_arrays=MappingProxyType(stored))
 
     def __len__(self) -> int:
         return sum(values.size for values in self._level_arrays.values())
@@ -192,7 +186,7 @@ class SurplusMap:
         return self._level_arrays[g.level][tuple((i - 1) // 2 for i in g.index)].item()
 
     def levels(self) -> list[Level]:
-        return enumerate_levels(self.n, self.d)
+        return list(self._level_arrays)  # stored in ``enumerate_levels`` order
 
     def level_values(self, level: Level) -> np.ndarray:
         """The coefficients of one level as a flat array, in ``index_set`` order."""
@@ -311,17 +305,42 @@ class SurplusMap:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SurplusMap":
-        entries = {}
-        for e in doc["entries"]:
-            g = GridIndex(tuple(e["level"]), tuple(e["index"]))
-            if g in entries:
-                raise ValueError(f"node level {list(g.level)} index {list(g.index)} appears twice")
-            entries[g] = float(e["value"])
-        return cls(int(doc["d"]), int(doc["n"]), entries)
+        """The map of a ``to_json_dict`` document: each node of the index set once."""
+        d, n = int(doc["d"]), int(doc["n"])
+        rows, m = doc["entries"], len(doc["entries"])
+        for e in rows:
+            if len(e["level"]) != d or len(e["index"]) != d:
+                raise _outside(GridIndex(e["level"], e["index"]), n, d)
+        level, index = (
+            np.fromiter(itertools.chain.from_iterable(map(itemgetter(key), rows)),
+                        dtype=np.int64, count=m * d).reshape(m, d)
+            for key in ("level", "index"))
+        values = np.fromiter(map(itemgetter("value"), rows), dtype=float, count=m)
+        ok = ((level >= 1) & (index >= 1) & (index < 2.0 ** level) & (index % 2 == 1)).all(1)
+        ok &= level.sum(axis=1) <= n + d - 1
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise _outside(GridIndex(level[k], index[k]), n, d)  # GridIndex raises first
+        keys = np.concatenate([level, index], axis=1)
+        order = np.lexsort(keys.T[::-1])  # (level, index) lexicographic: the storage order
+        repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+        if repeat.any():
+            k = int(order[1:][repeat].min())
+            raise ValueError(
+                f"node level {level[k].tolist()} index {index[k].tolist()} appears twice")
+        expected = grid_count(n, d)
+        if m != expected:
+            raise ValueError(f"{m} entries, but the level-{n} index set holds {expected}")
+        return cls(d, n, _split_levels(values[order], n, d))
 
     @classmethod
     def loads(cls, text: str) -> "SurplusMap":
         return cls.from_json_dict(json.loads(text))
+
+
+def _outside(g: GridIndex, n: int, d: int) -> ValueError:
+    return ValueError(f"node level {list(g.level)} index {list(g.index)} is not in the "
+                      f"level-{n} index set of dimension {d}")
 
 
 def _check_domain(points: np.ndarray, row_name: str = "row") -> None:
@@ -369,6 +388,14 @@ def _level_nodes(level: Level) -> np.ndarray:
     axes = [np.arange(1, 2 ** l, 2) * 2.0 ** -l for l in level]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def _split_levels(flat: np.ndarray, n: int, d: int) -> dict[Level, np.ndarray]:
+    """Per-level views of values in storage order, (level, index) lexicographic."""
+    levels = enumerate_levels(n, d)
+    shapes = [[2 ** (l - 1) for l in level] for level in levels]
+    parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes])[:-1])
+    return {level: part.reshape(shape) for level, shape, part in zip(levels, shapes, parts)}
 
 
 def _face_points(n: int, d: int) -> np.ndarray:
@@ -435,14 +462,10 @@ def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
             "boundary of [0,1]^d"
         )
 
-    arrays, start = {}, 0
-    for level, block in zip(levels, nodes):
-        shape = [2 ** (l - 1) for l in level]
-        arrays[level] = values[start:start + len(block)].reshape(shape)
-        start += len(block)
+    arrays = _split_levels(values[:count], n, d)
     for j in range(d):
         _hierarchize_axis(arrays, j)
-    return SurplusMap._from_arrays(d, n, arrays)
+    return SurplusMap(d, n, arrays)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,83 @@
+"""Regenerate the golden CLI outputs that ``tests/test_golden.py`` compares.
+
+Run from the repository root with the package on the path:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Each case runs ``qkorobov.cli.main`` in-process.  Its stdout is written to
+``<name>.out`` (or, for a case marked digest-only, its SHA-256 goes into the
+manifest), and ``MANIFEST.json`` records every case's argv, exit code and
+digest.  A change that moves an output regenerates the files and names each
+changed file and line.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from qkorobov.cli import main
+
+HERE = Path(__file__).resolve().parent
+
+D3_POINTS = "0.3,0.6,0.7;0.5,0.25,0.625;0,0.4,0.9"  # interior, dyadic, boundary
+EVAL_D3 = ["eval", "--fn", "prod-quad", "--d", "3", "--n", "6", "--x", D3_POINTS]
+
+# (name, argv, digest only)
+CASES = [
+    ("eval-csv", EVAL_D3, False),
+    ("eval-json", EVAL_D3 + ["--format", "json"], False),
+    ("eval-normalized", EVAL_D3 + ["--normalized"], False),
+    ("eval-no-identity", EVAL_D3 + ["--no-include-identity-gates"], False),
+    ("eval-asym-cubic", ["eval", "--fn", "asym-cubic", "--n", "5",
+                         "--x", "0.1;0.37;0.5;1"], False),
+    ("coeffs", ["coeffs", "--fn", "prod-sin", "--d", "2", "--n", "4"], False),
+    ("coeffs-quadrature", ["coeffs", "--fn", "prod-quad", "--d", "2", "--n", "3",
+                           "--quadrature"], False),
+    ("verify-convergence-sin", ["convergence", "--fn", "prod-sin", "--d", "2", "--p", "inf",
+                                "--n-range", "3..6"], False),
+    ("verify-convergence-quad", ["convergence", "--fn", "prod-quad", "--d", "3", "--p", "2",
+                                 "--n-range", "2..3"], False),
+    ("verify-audit", ["audit", "--n", "5"], False),
+    ("convergence-p3-csv", ["convergence", "--fn", "prod-sin", "--d", "1", "--p", "3",
+                            "--n-range", "2..5"], False),
+    ("convergence-json", ["convergence", "--fn", "prod-quad", "--d", "2",
+                          "--n-range", "1..4", "--format", "json"], False),
+    ("convergence-svg", ["convergence", "--fn", "prod-quad", "--d", "2",
+                         "--n-range", "1..5", "--format", "svg"], False),
+    ("resources", ["resources"], False),
+    ("resources-csv", ["resources", "--d", "3", "--n-range", "1..6", "--format", "csv"], False),
+    ("audit-scaled", ["audit", "--n", "3", "--scale-coeffs", "1.1"], False),
+    ("circuit-d3-n4", ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4",
+                       "--x", "0.3,0.6,0.7"], True),
+]
+
+
+def run(argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stdout bytes of one in-process CLI run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue().encode("utf-8")
+
+
+def regenerate() -> None:
+    manifest = {}
+    for name, argv, digest_only in CASES:
+        code, out = run(argv)
+        entry = {"argv": argv, "exit": code, "sha256": None}
+        if digest_only:
+            entry["sha256"] = hashlib.sha256(out).hexdigest()
+        else:
+            (HERE / f"{name}.out").write_bytes(out)
+        manifest[name] = entry
+        print(f"{name}: exit {code}, {len(out)} bytes")
+    text = json.dumps(manifest, indent=1) + "\n"
+    (HERE / "MANIFEST.json").write_text(text, encoding="utf-8", newline="\n")
+
+
+if __name__ == "__main__":
+    regenerate()

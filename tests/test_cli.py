@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour: outputs, determinism, exit codes."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from qkorobov.cli import build_parser, main
+from qkorobov.cli import build_parser, json_text, main
 
 # the options each subcommand reads and its --format choices, default first
 # (None: JSON only); --config and --out go to every command
@@ -277,6 +279,31 @@ class TestCircuitTrace:
         assert code == 0
         # x = 0.5 still sits inside the level-1 hat, so terms exist
         assert json.loads(data)["terms"] >= 1
+
+    def test_more_than_one_point_is_config_error(self, tmp_path, capsys):
+        code, data = run_cli(
+            ["circuit", "--fn", "prod-quad", "--d", "1", "--n", "2", "--x", "0.3;0.7"],
+            tmp_path, "trace2.json",
+        )
+        assert (code, data) == (2, b"")
+        assert "--x gives 2" in capsys.readouterr().err
+
+
+class TestJsonText:
+    def test_doubles_round_trip(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2 ** 64, size=20000, dtype=np.uint64).view(np.float64)
+        values = [v for v in bits.tolist() + rng.standard_normal(1000).tolist()
+                  if math.isfinite(v)] + [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+        back = json.loads(json_text({"values": values}))["values"]
+        assert [v.hex() for v in back] == [v.hex() for v in values]
+
+    def test_non_finite_and_numpy_scalars(self):
+        doc = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": np.float64("nan"),
+               "e": np.float64(0.1), "f": np.float32(0.5), "g": np.int64(3), "h": (1, 2.5)}
+        assert json.loads(json_text(doc)) == {
+            "a": "inf", "b": "-inf", "c": "nan", "d": "nan",
+            "e": 0.1, "f": 0.5, "g": 3, "h": [1, 2.5]}
 
 
 class TestPlumbing:

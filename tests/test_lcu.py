@@ -215,13 +215,25 @@ class TestPlan:
         assert plan.one_norm == 2.5
         assert isinstance(plan.term_circuits, tuple)
 
+    def test_term_circuits_cannot_change(self):
+        plan = identity_plan(np.array([0.5, -2.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.term_circuits[0].width = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.term_circuits[1].ops = ()
+        with pytest.raises(AttributeError):
+            plan.term_circuits[0].ops.append(Gate(PAULI_X, (3,)))
+        with pytest.raises(TypeError):
+            plan.term_circuits[0] = Circuit(5)
+        assert plan.data_width == 1
+        assert [len(c.ops) for c in plan.term_circuits] == [1, 1]
+
 
 def plan_from_terms_from_circuit(x):
     """Plan with the single degree-1 term bound at x."""
-    circ = Circuit(1)
-    for op in bind_signal(chebyshev_circuit(1), x).ops:
-        circ.append(Gate(op.matrix, (0,), label=op.label))
-    return LcuPlan(np.array([1.0]), [circ])
+    ops = [Gate(op.matrix, (0,), label=op.label)
+           for op in bind_signal(chebyshev_circuit(1), x).ops]
+    return LcuPlan(np.array([1.0]), [Circuit(1, ops)])
 
 
 class TestHadamardTest:

@@ -1,5 +1,7 @@
 """Gate application, circuit composition, and resource counters."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,41 @@ class TestApplyGate:
             Circuit(1, [Gate(PAULI_X, (1,))])
 
 
+class TestCircuitIsReadOnly:
+    """A circuit is checked once, at construction, and cannot change afterwards."""
+
+    def test_ops_are_a_tuple_of_the_given_gates(self):
+        gates = [Gate(PAULI_X, (0,)), Gate(HADAMARD, (1,))]
+        circ = Circuit(2, gates)
+        assert isinstance(circ.ops, tuple) and list(circ.ops) == gates
+        gates.append(Gate(PAULI_X, (5,)))  # the caller's list is not the circuit's
+        assert len(circ.ops) == 2
+
+    def test_no_way_to_add_an_op(self):
+        circ = Circuit(1, [Gate(PAULI_X, (0,))])
+        assert not hasattr(circ, "append") and not hasattr(circ, "extend")
+        with pytest.raises(AttributeError):
+            circ.ops.append(Gate(PAULI_X, (3,)))
+
+    @pytest.mark.parametrize("field, value", [("width", 5), ("ops", ())])
+    def test_fields_cannot_be_assigned(self, field, value):
+        circ = Circuit(1, [Gate(PAULI_X, (0,))])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circ, field, value)
+        assert circ.width == 1 and len(circ.ops) == 1
+
+    def test_op_beyond_width_names_its_qubits(self):
+        # qubit 3 of a width-1 register would wrap to axis -3 of the tensor
+        with pytest.raises(ValueError, match=r"qubit\(s\) \[3\] outside width 1"):
+            Circuit(1, [Gate(PAULI_X, (3,))])
+        with pytest.raises(ValueError, match=r"\[2, 4\] outside width 2"):
+            Circuit(2, [Gate(PAULI_X, (0,)), Gate(PAULI_X, (4,), controls=(2,))])
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Circuit(-1)
+
+
 class TestRunCircuit:
     def test_empty_circuit_is_identity(self):
         out = run_circuit(Circuit(width=3), Statevector.zero(3))
@@ -123,14 +160,15 @@ class TestFusion:
         rng = np.random.default_rng(17)
         for _ in range(60):
             width = int(rng.integers(2, 6))
-            circ = Circuit(width)
+            ops = []
             for _ in range(int(rng.integers(1, 6))):
                 qubits = list(rng.permutation(width))
                 n_ctrl = int(rng.integers(0, width))
                 target, controls = (int(qubits[0]),), tuple(int(q) for q in qubits[1:1 + n_ctrl])
                 values = tuple(int(v) for v in rng.integers(0, 2, size=n_ctrl))
                 for _ in range(int(rng.integers(1, 5))):
-                    circ.append(Gate(random_unitary(rng, 2), target, controls, values))
+                    ops.append(Gate(random_unitary(rng, 2), target, controls, values))
+            circ = Circuit(width, ops)
             psi = rng.standard_normal(2 ** width) + 1j * rng.standard_normal(2 ** width)
             state = Statevector(psi / np.linalg.norm(psi), width)
             want = state.amplitudes
@@ -184,14 +222,14 @@ class TestResourceReport:
         rng = np.random.default_rng(7)
         for _ in range(50):
             width = int(rng.integers(1, 6))
-            circ = Circuit(width)
+            ops = []
             for _ in range(int(rng.integers(0, 8))):
                 q = int(rng.integers(width))
                 free = [c for c in range(width) if c != q]
                 n_ctrl = int(rng.integers(0, len(free) + 1))
                 ctrls = tuple(rng.choice(free, size=n_ctrl, replace=False)) if n_ctrl else ()
-                circ.append(Gate(random_unitary(rng, 2), (q,), controls=ctrls))
-            report = resource_report(circ)
+                ops.append(Gate(random_unitary(rng, 2), (q,), controls=ctrls))
+            report = resource_report(Circuit(width, ops))
             assert report.multi_depth <= report.touch_depth <= report.gate_count
             assert report.touch_depth <= report.layered_depth
 
@@ -199,14 +237,15 @@ class TestResourceReport:
         rng = np.random.default_rng(19)
         for _ in range(50):
             width = int(rng.integers(1, 7))
-            circ = Circuit(width)
+            ops = []
             for _ in range(int(rng.integers(0, 12))):
                 q = int(rng.integers(width))
                 free = [c for c in range(width) if c != q]
                 n_ctrl = int(rng.integers(0, len(free) + 1))
                 ctrls = tuple(rng.choice(free, size=n_ctrl, replace=False)) if n_ctrl else ()
                 values = tuple(int(v) for v in rng.integers(0, 2, size=n_ctrl))
-                circ.append(Gate(random_unitary(rng, 2), (q,), ctrls, values))
+                ops.append(Gate(random_unitary(rng, 2), (q,), ctrls, values))
+            circ = Circuit(width, ops)
             multi, touch = qubit_touch_counts(circ)
             report = resource_report(circ)
             assert report.multi_depth == max(multi, default=0)
@@ -243,12 +282,12 @@ class TestNormAndLinearity:
         rng = np.random.default_rng(20240)
         for _ in range(1000):
             width = int(rng.integers(1, 7))
-            circ = Circuit(width)
+            ops = []
             for _ in range(int(rng.integers(1, 6))):
                 k = int(rng.integers(1, min(width, 2) + 1))
                 targets = tuple(rng.choice(width, size=k, replace=False))
-                circ.append(Gate(random_unitary(rng, 2 ** k), targets))
-            out = run_circuit(circ, Statevector.zero(width))
+                ops.append(Gate(random_unitary(rng, 2 ** k), targets))
+            out = run_circuit(Circuit(width, ops), Statevector.zero(width))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-10
 
     def test_gate_application_is_linear(self):

@@ -1,5 +1,6 @@
 """Hierarchical basis, surplus coefficients, and the Chebyshev expansion."""
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -44,6 +45,16 @@ def reference_surplus(f, n, d):
     pts = centre[:, None, :] + offsets[None, :, :] * spacing[:, None, :]
     values = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(len(nodes), -1)
     return nodes, values @ weights
+
+
+def arrays_from_entries(entries):
+    """Per-level arrays filled from a {GridIndex: value} dict; unlisted cells are NaN."""
+    arrays = {}
+    for g, v in entries.items():
+        shape = tuple(2 ** (l - 1) for l in g.level)
+        cell = tuple((i - 1) // 2 for i in g.index)
+        arrays.setdefault(g.level, np.full(shape, np.nan))[cell] = v
+    return arrays
 
 
 def reference_evaluate_batch(s, points):
@@ -760,7 +771,7 @@ class TestJsonRoundTrip:
         entries = dict(surplus_coefficients(PROD_QUAD_2, 2, 2).items())
         entries[GridIndex((2, 1), (3, 1))] = float("inf")
         with pytest.raises(ValueError, match=r"level \[2, 1\] index \[3, 1\] is inf"):
-            SurplusMap(2, 2, entries)
+            SurplusMap(2, 2, arrays_from_entries(entries))
 
     def test_schema(self):
         s = surplus_coefficients(PROD_QUAD_2, 1, 2)
@@ -784,6 +795,100 @@ class TestJsonRoundTrip:
                                              r"the level-2 index set"):
             SurplusMap.from_json_dict(doc)
 
+    @pytest.mark.parametrize("row, change, message", [
+        (1, dict(level=[1, 2, 1]), r"level and index dimensions differ"),
+        (2, dict(level=[1, 1, 1], index=[1, 1, 1]),
+         r"node level \[1, 1, 1\] index \[1, 1, 1\] is not in the level-2 index set "
+         r"of dimension 2"),
+        (1, dict(level=[1, 0]), r"level component 0 < 1"),
+        (3, dict(index=[2, 1]), r"index 2 invalid for level 2 \(odd, in \[1, 2\^l-1\]\)"),
+        (3, dict(index=[5, 1]), r"index 5 invalid for level 2"),
+        (0, dict(index=[-1, 1]), r"index -1 invalid for level 1"),
+    ])
+    def test_invalid_entry_rejected(self, row, change, message):
+        doc = self._doc()
+        doc["entries"][row].update(change)
+        with pytest.raises(ValueError, match=message):
+            SurplusMap.from_json_dict(doc)
+
+    def test_missing_entry_rejected(self):
+        doc = self._doc()
+        del doc["entries"][2]
+        with pytest.raises(ValueError, match=r"4 entries, but the level-2 index set holds 5"):
+            SurplusMap.from_json_dict(doc)
+
+    def test_entry_order_is_free(self):
+        s = surplus_coefficients(PROD_QUAD_2, 4, 2)
+        doc = s.to_json_dict()
+        doc["entries"].reverse()
+        back = SurplusMap.from_json_dict(doc)
+        assert list(back.items()) == list(s.items())
+
+
+class TestReadOnlyMap:
+    """One checked constructor; the stored arrays cannot be changed afterwards."""
+
+    def _arrays(self):
+        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        return {level: np.array(s._level_arrays[level]) for level in s.levels()}
+
+    def test_writing_through_level_values_raises(self):
+        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        before = s.evaluate([0.3, 0.6])
+        for level in s.levels():
+            with pytest.raises(ValueError, match="read-only"):
+                s.level_values(level)[0] = np.nan
+        for smap in (s, SurplusMap.loads(s.dumps())):
+            with pytest.raises(ValueError, match="read-only"):
+                smap._level_arrays[1, 1][0, 0] = np.nan
+        assert s.evaluate([0.3, 0.6]) == before
+
+    def test_fields_cannot_be_assigned(self):
+        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.n = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s._level_arrays = {}
+        with pytest.raises(TypeError):
+            s._level_arrays[1, 1] = np.zeros((1, 1))
+        assert (s.d, s.n, len(s)) == (2, 3, grid_count(3, 2))
+
+    def test_arrays_are_taken_over_without_a_copy(self):
+        given = self._arrays()
+        s = SurplusMap(2, 3, given)
+        for level, values in given.items():
+            assert s._level_arrays[level] is values
+            assert not values.flags.writeable
+
+    def test_base_of_a_view_is_frozen_too(self):
+        s = surplus_coefficients(PROD_QUAD_1, 2, 1)
+        buffer = np.concatenate([s.level_values(level) for level in s.levels()])
+        smap = SurplusMap(1, 2, {(1,): buffer[:1], (2,): buffer[1:]})
+        with pytest.raises(ValueError, match="read-only"):
+            buffer[0] = np.nan
+        assert smap.evaluate([0.3]) == s.evaluate([0.3])
+
+    def test_one_constructor(self):
+        assert not hasattr(SurplusMap, "_from_arrays")
+        with pytest.raises(TypeError):
+            SurplusMap(2, 3)
+
+    def test_level_set_checked(self):
+        arrays = self._arrays()
+        del arrays[2, 1]
+        with pytest.raises(ValueError, match=r"missing \[\(2, 1\)\], extra \[\]"):
+            SurplusMap(2, 3, arrays)
+        arrays = self._arrays()
+        arrays[4, 1] = np.zeros((8, 1))
+        with pytest.raises(ValueError, match=r"missing \[\], extra \[\(4, 1\)\]"):
+            SurplusMap(2, 3, arrays)
+
+    def test_shape_checked(self):
+        arrays = self._arrays()
+        arrays[1, 2] = arrays[1, 2].reshape(-1)
+        with pytest.raises(ValueError, match=r"level \[1, 2\] needs an array of shape \(1, 2\)"):
+            SurplusMap(2, 3, arrays)
+
 
 class TestLevelArrayStorage:
     """The per-level arrays are the only storage; every view reads them."""
@@ -798,7 +903,8 @@ class TestLevelArrayStorage:
         assert built == []
         assert set(vars(s)) == {"d", "n", "_level_arrays"}
         monkeypatch.undo()
-        for other in (SurplusMap(3, 5, s.entries), SurplusMap.loads(s.dumps())):
+        for other in (SurplusMap(3, 5, arrays_from_entries(s.entries)),
+                      SurplusMap.loads(s.dumps())):
             assert set(vars(other)) == {"d", "n", "_level_arrays"}
 
     @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
@@ -808,7 +914,8 @@ class TestLevelArrayStorage:
             arrays = s._level_arrays
             assert list(arrays) == s.levels()
             assert len(s) == grid_count(n, fn.d)
-            for other in (SurplusMap(fn.d, n, s.entries), SurplusMap.loads(s.dumps())):
+            for other in (SurplusMap(fn.d, n, arrays_from_entries(s.entries)),
+                          SurplusMap.loads(s.dumps())):
                 assert list(other._level_arrays) == s.levels()
                 for level in s.levels():
                     np.testing.assert_array_equal(other._level_arrays[level], arrays[level])
