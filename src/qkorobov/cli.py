@@ -137,20 +137,83 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence
     return "\n".join(lines) + "\n"
 
 
-def json_text(doc) -> str:
-    # json.dumps writes finite floats as their shortest round-trip repr
-    def clean(obj):
-        if isinstance(obj, float):
-            return obj if math.isfinite(obj) else repr(float(obj))
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return clean(obj.item())
-        return obj
+_encode_str = json.encoder.encode_basestring_ascii
 
-    return json.dumps(clean(doc), indent=2) + "\n"
+
+def json_text(doc) -> str:
+    """``doc`` as the text of ``json.dumps(doc, indent=2) + "\\n"``, with these values.
+
+    A finite float is written as its shortest round-trip repr, a non-finite
+    one as the string "inf", "-inf" or "nan"; a numpy scalar as its
+    ``.item()``, a tuple as a list and a float ndarray as its ``tolist()``.
+    Any other type json cannot write raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _key_text(key) -> str:
+    # json's rule for dict keys: str as is, numbers, bools and None as their JSON text
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return _encode_str(key)
+
+
+def _write_json(obj, nl: str, out: list[str]) -> None:
+    """Append the text of ``obj``, whose line starts with ``nl`` (newline and indent)."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(text if math.isfinite(obj) else _encode_str(text))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner = nl + "  "
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(("," if i else "") + inner + _key_text(key) + ": ")
+            _write_json(value, inner, out)
+        out.append(nl + "}" if obj else "}")
+    elif isinstance(obj, (list, tuple)):
+        inner = nl + "  "
+        out.append("[")
+        for i, value in enumerate(obj):
+            out.append("," + inner if i else inner)
+            _write_json(value, inner, out)
+        out.append(nl + "]" if obj else "]")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.itemsize <= 8:
+        if np.isfinite(obj).all():
+            out.append(_float_array_text(obj, nl))
+        else:  # non-finite values print as strings, one element at a time
+            _write_json(obj.tolist(), nl, out)
+    elif isinstance(obj, (np.floating, np.integer)):
+        _write_json(obj.item(), nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_array_text(arr: np.ndarray, nl: str) -> str:
+    """A finite float array as the text of its nested ``tolist()``.
+
+    The layout of every element is the same, so one ``str.join`` per depth
+    builds a ``%s`` template of the whole array and one ``%`` fills in the
+    reprs, instead of a Python call per element.
+    """
+    template = "%s"
+    for depth in range(arr.ndim - 1, -1, -1):
+        outer = nl + "  " * depth
+        inner = outer + "  "
+        template = ("[" + inner + ("," + inner).join([template] * arr.shape[depth])
+                    + outer + "]") if arr.shape[depth] else "[]"
+    return template % tuple(map(float.__repr__, arr.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -233,15 +233,24 @@ def evaluate_via_circuit(s: SurplusMap, x, include_identity: bool = True
 
 
 def circuit_json_ops(circuit: Circuit) -> list[dict]:
-    """JSON-ready trace: ordered primitive ops with row-major [re, im] entries."""
-    return [
-        {
+    """The trace that ``cli.json_text`` writes: ordered primitive ops.
+
+    Each op's ``matrix`` is a read-only float ndarray of shape (K, 2), the
+    gate's entries as row-major [re, im] pairs (a view, or a copy where the
+    gate holds a transposed matrix).  ``cli.json_text`` writes it as the list
+    of pairs, sign bits included, without a Python object per entry; the
+    standard ``json`` module cannot write an ndarray.
+    """
+    ops = []
+    for op in circuit.ops:
+        pairs = np.ascontiguousarray(op.matrix).view(np.float64).reshape(-1, 2)
+        pairs.flags.writeable = False
+        ops.append({
             "kind": "unitary",
             "label": op.label,
             "targets": list(op.targets),
             "controls": list(op.controls),
             "control_values": list(op.control_values),
-            "matrix": [[float(z.real), float(z.imag)] for z in op.matrix.ravel()],
-        }
-        for op in circuit.ops
-    ]
+            "matrix": pairs,
+        })
+    return ops

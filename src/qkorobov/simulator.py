@@ -36,6 +36,7 @@ circuits contain no controls, so their counts are unaffected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -53,8 +54,18 @@ def _as_unitary(matrix, what: str) -> np.ndarray:
     dim = m.shape[0]
     if dim & (dim - 1) or dim == 0:
         raise ValueError(f"{what} dimension must be a power of two, got {dim}")
-    err = np.abs(m.conj().T @ m - np.eye(dim)).max()
-    if err > UNITARY_ATOL:
+    if dim == 2:  # the entries of U^dag U - I in closed form; nan if any entry is nan
+        # float products and math.hypot overflow to inf, where ** and abs(complex) raise
+        (a, b), (c, d) = m.tolist()
+        z = a.conjugate() * b + c.conjugate() * d
+        errs = (abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
+                abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
+                math.hypot(z.real, z.imag))
+        err = math.nan if math.isnan(sum(errs)) else max(errs)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are rejected
+            err = np.abs(m.conj().T @ m - np.eye(dim)).max()
+    if not err <= UNITARY_ATOL:
         raise ValueError(f"{what} is not unitary: max |U^dag U - I| = {err:.3e}")
     m.flags.writeable = False
     return m

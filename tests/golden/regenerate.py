@@ -2,13 +2,18 @@
 
 Run from the repository root with the package on the path:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py           # rewrite
+    PYTHONPATH=src python tests/golden/regenerate.py --check   # compare only
 
 Each case runs ``qkorobov.cli.main`` in-process.  Its stdout is written to
 ``<name>.out`` (or, for a case marked digest-only, its SHA-256 goes into the
 manifest), and ``MANIFEST.json`` records every case's argv, exit code and
 digest.  A change that moves an output regenerates the files and names each
 changed file and line.
+
+``--check`` reruns every case against the recorded files and writes nothing:
+it prints ``OK`` or ``DIFF`` per case (with the first differing line, or the
+two digests of a digest-only case) and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from qkorobov.cli import main
@@ -53,6 +59,8 @@ CASES = [
     ("audit-scaled", ["audit", "--n", "3", "--scale-coeffs", "1.1"], False),
     ("circuit-d3-n4", ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4",
                        "--x", "0.3,0.6,0.7"], True),
+    ("circuit-readme", ["circuit", "--fn", "prod-quad", "--d", "1", "--n", "2",
+                        "--x", "0.3"], False),
 ]
 
 
@@ -79,5 +87,55 @@ def regenerate() -> None:
     (HERE / "MANIFEST.json").write_text(text, encoding="utf-8", newline="\n")
 
 
+def first_diff(got: bytes, want: bytes) -> str:
+    """The first line where two outputs differ, numbered from 1."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for number, (g, w) in enumerate(zip(got_lines, want_lines), 1):
+        if g != w:
+            return f"line {number}: got {g!r}, recorded {w!r}"
+    if len(got_lines) != len(want_lines):
+        number = min(len(got_lines), len(want_lines)) + 1
+        return f"line {number}: got {len(got_lines)} lines, recorded {len(want_lines)}"
+    return "trailing newline differs"
+
+
+def case_problem(name: str, entry: dict) -> str | None:
+    """Rerun one recorded MANIFEST entry: how its output differs, or None."""
+    code, out = run(entry["argv"])
+    if code != entry["exit"]:
+        return f"exit {code}, recorded {entry['exit']}"
+    if entry["sha256"] is not None:
+        digest = hashlib.sha256(out).hexdigest()
+        return None if digest == entry["sha256"] else f"sha256 {digest}, recorded {entry['sha256']}"
+    want = (HERE / f"{name}.out").read_bytes()
+    return None if out == want else first_diff(out, want)
+
+
+def check() -> int:
+    """Rerun every case against the recorded files; 1 on any difference."""
+    manifest = json.loads((HERE / "MANIFEST.json").read_text(encoding="utf-8"))
+    failed = False
+    for name, argv, digest_only in CASES:
+        entry = manifest.get(name)
+        if entry is None:
+            problem = "not in MANIFEST.json"
+        elif entry["argv"] != argv:
+            problem = f"argv {argv} differs from recorded {entry['argv']}"
+        elif (entry["sha256"] is not None) != digest_only:
+            problem = "recorded in full" if digest_only else "recorded as digest-only"
+        else:
+            problem = case_problem(name, entry)
+        failed = failed or problem is not None
+        print(f"OK   {name}" if problem is None else f"DIFF {name}: {problem}")
+    for name in sorted(set(manifest) - {case[0] for case in CASES}):
+        failed = True
+        print(f"DIFF {name}: recorded in MANIFEST.json but not a case")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     regenerate()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkorobov.cli import build_parser, json_text, main
 
@@ -304,6 +305,74 @@ class TestJsonText:
         assert json.loads(json_text(doc)) == {
             "a": "inf", "b": "-inf", "c": "nan", "d": "nan",
             "e": 0.1, "f": 0.5, "g": 3, "h": [1, 2.5]}
+
+
+
+def reference_json_text(doc) -> str:
+    """The plain writer: clean the values, then ``json.dumps(indent=2)``."""
+    def clean(obj):
+        if isinstance(obj, float):
+            return obj if math.isfinite(obj) else repr(float(obj))
+        if isinstance(obj, dict):
+            return {k: clean(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [clean(v) for v in obj]
+        if isinstance(obj, (np.floating, np.integer)):
+            return clean(obj.item())
+        return obj
+
+    return json.dumps(clean(doc), indent=2) + "\n"
+
+
+TRICKY_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "a", " ",
+                                "\u00e9", "\u20ac", "\U0001f600", "\ud800", "/"])
+TEXT = st.text() | st.text(TRICKY_CHARS, max_size=8)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]),
+    TEXT,
+)
+KEYS = TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+DOCS = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(KEYS, kids, max_size=4)), max_leaves=40)
+
+
+class TestJsonWriterMatchesReference:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(DOCS)
+    def test_nested_docs(self, doc):
+        assert json_text(doc) == reference_json_text(doc)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3,), (4, 2), (2, 2, 2), (3, 0), (700, 2)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ndarray_is_its_tolist(self, shape, dtype):
+        rng = np.random.default_rng(len(shape))
+        arr = rng.choice([0.0, -0.0, 5e-324, 0.5, -1 / 3, 2.0 ** 70],
+                         size=shape).astype(dtype)
+        if arr.size > 100:  # many distinct values too, as a general trace holds
+            arr.flat[::7] = rng.standard_normal(arr.flat[::7].size)
+        doc = {"a": arr, "nested": [arr, {"b": arr}]}
+        want = {"a": arr.tolist(), "nested": [arr.tolist(), {"b": arr.tolist()}]}
+        assert json_text(doc) == reference_json_text(want)
+        assert json_text(arr) == reference_json_text(arr.tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_ndarray_with_non_finite_prints_strings(self, bad):
+        for arr in (np.array([1.0, bad, -0.0]), np.full((40, 40), 0.25)):
+            arr[-1, ...] = bad
+            assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
+
+    @pytest.mark.parametrize("bad", [{1, 2}, object(), np.array([1, 2]),
+                                     np.array([1j]), np.bool_(True), {(1, 2): 0}])
+    def test_unwritable_types_raise(self, bad):
+        for doc in (bad, {"a": [1, bad]}):
+            with pytest.raises(TypeError):
+                json_text(doc)
+            if not isinstance(bad, np.ndarray):  # the reference has no ndarray rule
+                with pytest.raises(TypeError):
+                    reference_json_text(doc)
 
 
 class TestPlumbing:

@@ -4,29 +4,60 @@
 output regenerates them and names each changed file and line.
 """
 
-import contextlib
-import hashlib
-import io
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from qkorobov.cli import main
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text(encoding="utf-8"))
 
 
+def load_regenerate():
+    spec = importlib.util.spec_from_file_location("golden_regenerate", GOLDEN / "regenerate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REGENERATE = load_regenerate()
+
+
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_output_matches_golden(name):
-    case = MANIFEST[name]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(case["argv"])
-    out = buf.getvalue().encode("utf-8")
-    assert code == case["exit"]
-    if case["sha256"] is not None:
-        assert hashlib.sha256(out).hexdigest() == case["sha256"]
-    else:
-        assert out == (GOLDEN / f"{name}.out").read_bytes()
+    problem = REGENERATE.case_problem(name, MANIFEST[name])
+    assert problem is None, problem
+
+
+def test_check_reports_each_case_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(REGENERATE, "HERE", tmp_path)
+    monkeypatch.setattr(REGENERATE, "CASES", [
+        ("full", ["eval", "--fn", "prod-quad", "--n", "2", "--x", "0.125"], False),
+        ("digest", ["eval", "--fn", "prod-quad", "--n", "2", "--x", "0.3"], True),
+    ])
+    REGENERATE.regenerate()
+    written = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert REGENERATE.check() == 0
+    assert capsys.readouterr().out == "OK   full\nOK   digest\n"
+
+    changed = written["full.out"].replace(b"0.125", b"0.25", 1)
+    (tmp_path / "full.out").write_bytes(changed)
+    line = 1 + written["full.out"][:written["full.out"].index(b"0.125")].count(b"\n")
+    manifest = json.loads(written["MANIFEST.json"])
+    manifest["digest"]["sha256"] = "0" * 64
+    (tmp_path / "MANIFEST.json").write_text(json.dumps(manifest), encoding="utf-8")
+    changed_files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert REGENERATE.check() == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith(f"DIFF full: line {line}: got ")
+    assert out[1].startswith("DIFF digest: sha256 ") and out[1].endswith("0" * 64)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == changed_files
+
+
+def test_first_diff_names_the_line():
+    first_diff = REGENERATE.first_diff
+    assert first_diff(b"a\nb\nc\n", b"a\nx\nc\n") == "line 2: got b'b', recorded b'x'"
+    assert first_diff(b"a\nb\n", b"a\n") == "line 2: got 2 lines, recorded 1"
+    assert first_diff(b"a\n", b"a") == "trailing newline differs"

@@ -11,6 +11,7 @@ from qkorobov.lcu import (
     LcuPlan,
     ancilla_count,
     assemble_lcu,
+    circuit_json_ops,
     direct_amplitude,
     evaluate_via_circuit,
     hadamard_test,
@@ -170,6 +171,32 @@ class TestAssemble:
         distinct = {(j, k, u) for t in terms for j, (k, u) in enumerate(zip(t.degrees, t.arguments))}
         assert plan.term_count == len(terms)
         assert len(calls) == len(distinct) < len(terms) * 2  # the terms share arguments
+
+
+class TestCircuitJsonOps:
+    def test_matrix_pairs_are_read_only_entry_bits(self):
+        smap = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        plan = plan_from_terms(chebyshev_expansion(smap, np.array([0.3, 0.45])), 2)
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        gate = Gate(u, (0, 1))
+        # the unprepare adjoint of a real symmetric F, and of a complex U: transposed views
+        for circuit in (hadamard_test_circuit(assemble_lcu(plan)),
+                        Circuit(2, [gate, Gate._trusted(gate.matrix.conj().T, (1, 0))])):
+            self.check_trace(circuit)
+
+    def check_trace(self, circuit):
+        ops = circuit_json_ops(circuit)
+        assert len(ops) == len(circuit.ops)
+        assert any(not op.matrix.flags.c_contiguous for op in circuit.ops)
+        for op, doc in zip(circuit.ops, ops):
+            pairs = doc["matrix"]
+            want = [[float(z.real), float(z.imag)] for z in op.matrix.ravel()]
+            assert pairs.shape == (op.matrix.size, 2) and pairs.dtype == np.float64
+            assert not pairs.flags.writeable
+            assert pairs.tobytes() == np.array(want).tobytes()  # -0.0 kept
+            assert (doc["label"], doc["targets"], doc["controls"], doc["control_values"]) == (
+                op.label, list(op.targets), list(op.controls), list(op.control_values))
 
 
 class TestPlan:

@@ -11,6 +11,7 @@ from qkorobov.simulator import (
     HADAMARD,
     IDENTITY_2,
     MAX_DENSE_WIDTH,
+    UNITARY_ATOL,
     Statevector,
     circuit_unitary,
     controlled,
@@ -77,6 +78,49 @@ class TestApplyGate:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             Gate(np.array([[1.0, 0.0], [0.0, 2.0]]), (0,))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, dim, bad):
+        for k in range(dim * dim):
+            m = np.eye(dim, dtype=complex)
+            m.flat[k] = bad
+            with pytest.raises(ValueError, match="not unitary"):
+                Gate(m, tuple(range(dim.bit_length() - 1)))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("big", [1e200, -1e200j, 1.2e154 + 1.2e154j])
+    def test_rejects_huge_finite_entries(self, dim, big):
+        # |U^dag U - I| overflows to inf, which is rejected like any other large error
+        for k in range(dim * dim):
+            m = np.eye(dim, dtype=complex)
+            m.flat[k] = big
+            with pytest.raises(ValueError, match="not unitary"):
+                Gate(m, tuple(range(dim.bit_length() - 1)))
+        # finite (U^dag U)_01 = 1.44e308 (1 + 1j), whose modulus overflows
+        m = np.eye(dim, dtype=complex)
+        m[0, :2] = 1.2e154, 1.2e154 + 1.2e154j
+        with pytest.raises(ValueError, match="not unitary"):
+            Gate(m, tuple(range(dim.bit_length() - 1)))
+
+    def test_closed_form_2x2_check_matches_dense_reference(self):
+        # the 2x2 check in closed form accepts and rejects as max |U^dag U - I| does
+        rng = np.random.default_rng(11)
+        for scale in (0.0, 1e-14, 3e-13, 3e-12, 1e-6, 0.3):
+            for _ in range(50):
+                u = random_unitary(rng, 2) + scale * (
+                    rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                err = np.abs(u.conj().T @ u - np.eye(2)).max()
+                if abs(err - UNITARY_ATOL) < 1e-14:
+                    continue
+                if err <= UNITARY_ATOL:
+                    gate = Gate(u, (0,))
+                    assert gate.matrix.tobytes() == u.tobytes()
+                else:
+                    with pytest.raises(ValueError, match="not unitary") as info:
+                        Gate(u, (0,))
+                    reported = float(str(info.value).rsplit("= ", 1)[1])
+                    assert reported == pytest.approx(err, rel=2e-3)
 
     def test_rejects_overlapping_roles(self):
         with pytest.raises(ValueError, match="role"):
