@@ -38,8 +38,10 @@ from .lcu import (
     evaluate_via_circuit,
     hadamard_test,
     hadamard_test_circuit,
+    hadamard_test_report,
     plan_from_terms,
     prepare_state_unitary,
+    run_hadamard_test,
 )
 from .analysis import (
     ConvergenceRow,

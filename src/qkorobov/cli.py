@@ -33,7 +33,7 @@ import numpy as np
 
 from . import analysis, lcu, sparsegrid
 from .analysis import KorobovTestFunction
-from .simulator import MAX_DENSE_WIDTH, resource_report
+from .simulator import MAX_DENSE_WIDTH
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -144,9 +144,10 @@ def json_text(doc) -> str:
     """``doc`` as the text of ``json.dumps(doc, indent=2) + "\\n"``, with these values.
 
     A finite float is written as its shortest round-trip repr, a non-finite
-    one as the string "inf", "-inf" or "nan"; a numpy scalar as its
-    ``.item()``, a tuple as a list and a float ndarray as its ``tolist()``.
-    Any other type json cannot write raises ``TypeError``.
+    one as the string "inf", "-inf" or "nan"; a numpy scalar of at most 8
+    bytes as its ``.item()``, a tuple as a list and a float ndarray of at
+    most 8-byte floats as its ``tolist()``.  Any other type json cannot write
+    raises ``TypeError``, a long double included.
     """
     out: list[str] = []
     _write_json(doc, "\n", out)
@@ -194,8 +195,8 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
             out.append(_float_array_text(obj, nl))
         else:  # non-finite values print as strings, one element at a time
             _write_json(obj.tolist(), nl, out)
-    elif isinstance(obj, (np.floating, np.integer)):
-        _write_json(obj.item(), nl, out)
+    elif isinstance(obj, (np.floating, np.integer)) and obj.itemsize <= 8:
+        _write_json(obj.item(), nl, out)  # a long double's item() is itself: unwritable
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -394,7 +395,7 @@ def cmd_resources(args) -> int:
                                  "feasible": False, "reason": "width beyond dense ceiling"})
                 continue
             plan = lcu.plan_from_terms(terms, d)
-            report = resource_report(lcu.hadamard_test_circuit(lcu.assemble_lcu(plan)))
+            report = lcu.hadamard_test_report(plan)
             measured.append(
                 {"d": d, "n": n, "terms": m, "width": report.width,
                  "touch_depth": report.touch_depth, "gate_count": report.gate_count,

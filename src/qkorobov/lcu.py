@@ -14,39 +14,58 @@ rescale by ||a||_1 classically.
 
 Register layout: data qubits 0..d-1 (coordinate j of the interpolation point
 drives qubit j), selector ancillas d..d+s-1 with s = ceil(log2 M), and the
-Hadamard-test ancilla in front as qubit 0 of the widened circuit.  The select
-operation is materialised gate by gate: every single-qubit gate of every term
-circuit becomes one ``Gate`` whose controls are the selector and whose
-control values are the bits of the term index j, which is what gives the
-assembled circuit the elementary-gate counts of the select-oracle
-construction (M = 1 needs no ancilla and no controls).
+Hadamard-test ancilla in front as qubit 0 of the widened circuit.
 
-Each matrix is checked once: F when it is built, W(u) when it is bound (once
-per distinct coordinate, degree and argument of a plan).  The select gates,
-F^dag and the Hadamard-test wrap derive from those checked gates and reuse
-their read-only matrices.  The plan is checked once too, when it is built;
-it is frozen, term circuits included, so assembly does not check it again.
-Each builder here collects its ops and constructs one ``Circuit``.
+A plan stores each distinct bound width-1 block once (one per degree and
+argument) and an (M, d) table naming the block on each data qubit of each
+term; the term circuits derive from the two.  F is the Householder
+reflection I - 2 v v^T / (v^T v) with v = F|0> - |0> (Householder, J. ACM 5,
+1958), unitary by construction, so its check is O(2^s): v is finite and F|0>
+has norm 1.  W(u) is checked once per block, when it is bound.
+
+The test unitary exists in two forms:
+
+* ``run_hadamard_test`` runs it on a structured statevector of shape (2^s
+  selector, 2 per data qubit from q_{d-1} to q_0, 2 test), the little-endian
+  layout once flattened.  On the test = 1 branch it applies F as the
+  reflection, one batched einsum per data qubit over the (d, 2^s, 2, 2)
+  select stack (block products, the identity on padding slots, the sign in
+  the qubit-0 factor), then F^dag = F.  It builds no gate per term and no
+  dense F; ``hadamard_test_report`` counts its gates from the plan.
+  ``evaluate_via_circuit`` uses these two.
+* ``assemble_lcu`` spells the select out gate by gate: every single-qubit
+  gate of every term circuit becomes one ``Gate`` whose controls are the
+  selector and whose control values are the bits of the term index j (M = 1
+  needs no ancilla and no controls), between a dense F and F^dag, refused
+  above 2^MAX_DENSE_WIDTH entries.  Wrapped by ``hadamard_test_circuit``, it
+  is what the ``circuit`` trace writes, and ``run_circuit`` on it is the
+  reference the structured run is tested against.  Its derived gates reuse
+  the checked read-only matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import qsp
 from .simulator import (
-    Circuit,
-    Gate,
     HADAMARD,
     IDENTITY_2,
+    MAX_DENSE_WIDTH,
+    UNITARY_ATOL,
+    Circuit,
+    Gate,
     ResourceReport,
+    Statevector,
+    _check_dense_width,
+    circuit_unitary,
     controlled,
     expectation_z_first,
-    resource_report,
     run_circuit,
     shifted,
 )
@@ -60,55 +79,96 @@ def ancilla_count(m: int) -> int:
     return max(0, math.ceil(math.log2(m)))
 
 
-def prepare_state_unitary(coefficients) -> np.ndarray:
-    """Dense oracle F with F|0> proportional to (sqrt(a_1), ..., sqrt(a_M)).
+def _reflection_vector(coefficients) -> np.ndarray | None:
+    """v with F = I - 2 v v^T / (v^T v) and F|0> = (sqrt(a_j / ||a||_1))_j, zero-padded.
 
-    The remaining columns are completed deterministically by the Householder
-    reflection exchanging |0> with the target column.
+    None when F|0> is |0> (one term), where F is the identity.  This is F's
+    check: the prepared column must be finite and of norm 1.
     """
     a = np.asarray(coefficients, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValueError("need at least one coefficient")
     if np.any(a <= 0.0):
         raise ValueError("all coefficients must be strictly positive")
-    dim = 2 ** ancilla_count(a.size)
-    column = np.zeros(dim)
-    column[: a.size] = np.sqrt(a / a.sum())
-    v = column - np.eye(dim)[:, 0]
-    vnorm2 = v @ v
-    if vnorm2 < 1e-30:
-        return np.eye(dim, dtype=complex)
-    f = np.eye(dim) - 2.0 * np.outer(v, v) / vnorm2
+    v = np.zeros(2 ** ancilla_count(a.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        v[: a.size] = np.sqrt(a / a.sum())
+    err = abs(v @ v - 1.0)
+    if not err <= UNITARY_ATOL:  # nan or inf in the column too
+        raise ValueError(f"prepared state is not a unit vector: | ||F|0>||^2 - 1 | = {err:.3e}")
+    v[0] -= 1.0
+    return v if v @ v >= 1e-30 else None
+
+
+def prepare_state_unitary(coefficients) -> np.ndarray:
+    """Dense oracle F with F|0> proportional to (sqrt(a_1), ..., sqrt(a_M)).
+
+    The remaining columns are completed deterministically by the Householder
+    reflection exchanging |0> with the target column.  Raises before
+    allocating when F would have more than 2^MAX_DENSE_WIDTH entries.
+    """
+    a = np.asarray(coefficients, dtype=float).reshape(-1)
+    v = _reflection_vector(a)
+    s = ancilla_count(a.size)
+    if 2 * s > MAX_DENSE_WIDTH:
+        raise ValueError(
+            f"dense state preparation on {s} selector qubits needs 4^{s} entries, "
+            f"above the dense ceiling of 2^MAX_DENSE_WIDTH = 2^{MAX_DENSE_WIDTH}"
+        )
+    if v is None:
+        return np.eye(2 ** s, dtype=complex)
+    f = np.eye(v.size) - 2.0 * np.outer(v, v) / (v @ v)
     return f.astype(complex)
 
 
 @dataclass(frozen=True, eq=False)
 class LcuPlan:
-    """Everything needed to assemble one combination circuit.
+    """Everything needed to run or assemble one combination circuit.
 
-    ``weights`` are the signed term weights a_j (finite, non-zero, read-only)
-    and ``term_circuits`` the width-d circuits of single-qubit gates, one per
-    weight.  The rest derives from the weights: the positive magnitudes
-    ``coefficients``, the +-1 ``term_signs``, ``one_norm`` = ||a||_1 and the
-    ``ancilla_count`` of selector qubits.
+    ``weights`` are the signed term weights a_j (finite, non-zero, read-only),
+    ``blocks`` the distinct width-1 circuits of single-qubit gates, and
+    ``table`` the read-only (M, d) block indices: term j runs
+    ``blocks[table[j, q]]`` on data qubit q.  The rest derives from these:
+    the ``term_circuits``, the positive magnitudes ``coefficients``, the +-1
+    ``term_signs``, ``one_norm`` = ||a||_1 and the ``ancilla_count`` of
+    selector qubits.
     """
 
     weights: np.ndarray
-    term_circuits: tuple[Circuit, ...]
+    blocks: tuple[Circuit, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float).reshape(-1)  # own copy, frozen
-        weights.flags.writeable = False
+        weights = np.array(self.weights, dtype=float).reshape(-1)  # own copies, frozen
+        table = np.array(self.table)
+        weights.flags.writeable = table.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "term_circuits", tuple(self.term_circuits))
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "table", table)
         if weights.size == 0:
             raise ValueError("a plan needs at least one term")
         if not np.all(np.isfinite(weights) & (weights != 0.0)):
             raise ValueError("plan weights must be finite and non-zero")
-        if len(self.term_circuits) != weights.size:
-            raise ValueError("weights and circuits must align")
-        if {c.width for c in self.term_circuits} != {self.data_width} or not self.data_width:
-            raise ValueError("term circuits must share one data width >= 1")
+        if table.ndim != 2 or table.shape[0] != weights.size:
+            raise ValueError("weights and table rows must align")
+        if not table.shape[1] or any(b.width != 1 for b in self.blocks):
+            raise ValueError("blocks must be width-1 circuits on a data width >= 1")
+        if table.dtype.kind not in "iu" or not np.all((table >= 0) & (table < len(self.blocks))):
+            raise ValueError("table entries must index the blocks")
+
+    @cached_property
+    def term_circuits(self) -> tuple[Circuit, ...]:
+        """Per term, the width-d circuit running its block on each data qubit in turn."""
+        placed: dict[tuple[int, int], tuple[Gate, ...]] = {}
+        circuits = []
+        for row in self.table.tolist():
+            ops: list[Gate] = []
+            for q, b in enumerate(row):
+                if (q, b) not in placed:
+                    placed[q, b] = tuple(shifted(op, q) for op in self.blocks[b].ops)
+                ops += placed[q, b]
+            circuits.append(Circuit(self.data_width, ops))
+        return tuple(circuits)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -132,7 +192,7 @@ class LcuPlan:
 
     @property
     def data_width(self) -> int:
-        return self.term_circuits[0].width
+        return self.table.shape[1]
 
 
 def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
@@ -140,31 +200,33 @@ def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
     """Build the combination plan for signed Chebyshev product terms.
 
     Per term, coordinate j gets the degree-k_j polynomial circuit bound at
-    the term's local argument u_j.  Zero-weight terms are dropped; returns
-    None when nothing remains.
+    the term's local argument u_j; each distinct (k, u) is bound once, as one
+    block.  Zero-weight terms are dropped; returns None when nothing remains.
     """
     kept = [t for t in terms if t.weight != 0.0]
     if not kept:
         return None
     symbolic: dict[int, Circuit] = {}
-    bound: dict[tuple, list[Gate]] = {}  # the 2^d terms of a level share u
-    circuits = []
+    index: dict[tuple, int] = {}  # the 2^d terms of a level share their arguments
+    blocks: list[Circuit] = []
+    table = []
     for t in kept:
         if len(t.degrees) != d:
             raise ValueError("term dimension does not match d")
-        ops: list[Gate] = []
-        for j, (k, u) in enumerate(zip(t.degrees, t.arguments)):
+        row = []
+        for k, u in zip(t.degrees, t.arguments):
             if abs(u) > 1.0:
                 raise ValueError(
                     f"term argument u={u} outside [-1, 1]; support filtering failed"
                 )
-            if (j, k, u) not in bound:
+            if (k, u) not in index:
                 if k not in symbolic:
                     symbolic[k] = qsp.chebyshev_circuit(k, include_identity)
-                bound[j, k, u] = [shifted(op, j) for op in qsp.bind_signal(symbolic[k], u).ops]
-            ops += bound[j, k, u]
-        circuits.append(Circuit(d, ops))
-    return LcuPlan(np.array([t.weight for t in kept]), circuits)
+                index[k, u] = len(blocks)
+                blocks.append(qsp.bind_signal(symbolic[k], u))
+            row.append(index[k, u])
+        table.append(row)
+    return LcuPlan(np.array([t.weight for t in kept]), blocks, table)
 
 
 def assemble_lcu(plan: LcuPlan) -> Circuit:
@@ -180,7 +242,7 @@ def assemble_lcu(plan: LcuPlan) -> Circuit:
     sel = tuple(range(d, d + s))
     ops: list[Gate] = []
     if s:
-        prepare = Gate(prepare_state_unitary(plan.coefficients), targets=sel, label="prepare")
+        prepare = Gate._trusted(prepare_state_unitary(plan.coefficients), sel, label="prepare")
         ops.append(prepare)
     for j, (sign, term) in enumerate(zip(plan.term_signs, plan.term_circuits)):
         bits = tuple((j >> b) & 1 for b in range(s))
@@ -214,22 +276,79 @@ def direct_amplitude(target: Circuit) -> complex:
     return complex(run_circuit(target).amplitudes[0])
 
 
+def _select_stack(plan: LcuPlan) -> np.ndarray:
+    """(d, 2^s, 2, 2): the factor on data qubit q for selector value j.
+
+    Padding slots j >= M hold the identity; the sign of term j rides on its
+    qubit-0 factor.
+    """
+    products = np.array([circuit_unitary(block) for block in plan.blocks])
+    m = plan.term_count
+    stack = np.empty((plan.data_width, 2 ** plan.ancilla_count, 2, 2), dtype=complex)
+    stack[:, :m] = products[plan.table.T]
+    stack[:, m:] = IDENTITY_2
+    stack[0, :m] *= plan.term_signs[:, None, None]
+    return stack
+
+
+def run_hadamard_test(plan: LcuPlan) -> Statevector:
+    """The final state of ``hadamard_test_circuit(assemble_lcu(plan))`` from |0...0>.
+
+    The same unitary, run on the structured statevector described in the
+    module docstring, without building a gate per term or a dense F.
+    """
+    d, s = plan.data_width, plan.ancilla_count
+    width = d + s + 1
+    _check_dense_width(width)
+    v = _reflection_vector(plan.coefficients)
+    stack = _select_stack(plan)
+
+    def reflect(a):  # F = F^dag = I - 2 v v^T / (v^T v) on the selector axis
+        return a if v is None else a - np.outer(v, (2.0 / (v @ v)) * (v @ a))
+
+    amps = np.zeros((2 ** s, 2 ** d, 2), dtype=complex)
+    amps[0, 0] = HADAMARD[:, 0]  # H on the test qubit
+    branch = reflect(amps[:, :, 1])  # F, select and F^dag act where the test qubit is 1
+    for q in range(d):
+        t = branch.reshape(2 ** s, 2 ** (d - 1 - q), 2, 2 ** q)
+        branch = np.einsum("jab,jlbr->jlar", stack[q], t).reshape(2 ** s, 2 ** d)
+    amps[:, :, 1] = reflect(branch)
+    return Statevector((amps @ HADAMARD.T).reshape(-1), width)
+
+
+def hadamard_test_report(plan: LcuPlan) -> ResourceReport:
+    """``resource_report(hadamard_test_circuit(assemble_lcu(plan)))`` from gate counts.
+
+    Every op but the two H gates is controlled on the test qubit, so the ops
+    run one after another on it.  With G select gates and s selector qubits,
+    gate_count = layered_depth = touch_depth = 2 + 2[s>0] + G (1 + s) and
+    multi_depth = G + 2[s>0].
+    """
+    s = plan.ancilla_count
+    sizes = np.array([len(block.ops) for block in plan.blocks])
+    # a gate-free negative term still gets one gate, which carries its sign
+    g = int(np.maximum(sizes[plan.table].sum(axis=1), plan.weights < 0).sum())
+    wrap = 2 if s else 0
+    serial = 2 + wrap + g * (1 + s)
+    return ResourceReport(width=plan.data_width + s + 1, gate_count=serial,
+                          multi_depth=g + wrap, layered_depth=serial, touch_depth=serial)
+
+
 def evaluate_via_circuit(s: SurplusMap, x, include_identity: bool = True
                          ) -> tuple[float, ResourceReport]:
     """Interpolant value at ``x`` computed by the quantum pipeline.
 
-    Expands the point into signed Chebyshev terms, assembles the combination
-    circuit, runs the Hadamard test, and rescales by the weight one-norm.
-    Returns the value and the resource report of the executed test circuit
-    (width d + ceil(log2 M) + 1).  A point supported by no term (grid lines,
-    boundary) yields 0.0 with an empty report.
+    Expands the point into signed Chebyshev terms, plans the combination,
+    runs its Hadamard test on the structured statevector, and rescales by
+    the weight one-norm.  Returns the value and the resource report of the
+    executed test circuit (width d + ceil(log2 M) + 1).  A point supported
+    by no term (grid lines, boundary) yields 0.0 with an empty report.
     """
     plan = plan_from_terms(chebyshev_expansion(s, x), s.d, include_identity)
     if plan is None:
         return 0.0, ResourceReport(0, 0, 0, 0, 0)
-    circuit = hadamard_test_circuit(assemble_lcu(plan))
-    value = expectation_z_first(run_circuit(circuit))
-    return plan.one_norm * value, resource_report(circuit)
+    value = expectation_z_first(run_hadamard_test(plan))
+    return plan.one_norm * value, hadamard_test_report(plan)
 
 
 def circuit_json_ops(circuit: Circuit) -> list[dict]:

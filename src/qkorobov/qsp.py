@@ -56,8 +56,8 @@ def chebyshev_second_kind(r: int, x):
 
 
 def signal_encoding(x: float) -> np.ndarray:
-    """The 2x2 signal unitary W(x); raises for |x| > 1."""
-    if abs(x) > 1.0 + 1e-12:
+    """The 2x2 signal unitary W(x); raises for |x| > 1 and for nan."""
+    if not abs(x) <= 1.0 + 1e-12:
         raise ValueError(f"signal value {x} outside [-1, 1]")
     x = min(1.0, max(-1.0, float(x)))
     s = math.sqrt(max(0.0, 1.0 - x * x))

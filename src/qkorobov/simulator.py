@@ -21,10 +21,11 @@ Conventions used throughout the package:
   ``qsp.bind_signal``, which swaps gates one for one on the same wiring,
   skips that check (``Circuit._trusted``), as derived gates do.
 * Simulation is exact and dense.  ``MAX_DENSE_WIDTH`` = 22 is the ceiling
-  (the statevector alone is 64 MiB there), enforced before allocating;
-  everything in this package uses width <= 13.  ``run_circuit`` fuses
-  adjacent gates with the same wiring before applying them; fusion is
-  execution-only, ``Circuit.ops`` and every count keep the unfused ops.
+  (the statevector alone is 64 MiB there), enforced before allocating.
+  ``run_circuit`` fuses adjacent gates with the same wiring before applying
+  them; a width-1 circuit, whose gates all share the one wire, becomes one
+  product taken in Python complex arithmetic.  Fusion is execution-only:
+  ``Circuit.ops`` and every count keep the unfused ops.
 
 Resource accounting costs a gate with ``c`` control wires as ``max(1, c)``
 elementary gates on each wire it touches.  This mirrors the ancilla-free
@@ -245,10 +246,17 @@ def _fused(ops: list[Gate]) -> Iterator[tuple[np.ndarray, Gate]]:
 def _run_ops(tensor: np.ndarray, circuit: "Circuit") -> np.ndarray:
     """``tensor`` (amplitudes reshaped to [2]*width plus any trailing axes) after the ops."""
     if circuit.width == 1:
-        # each gate spans the register: applying it costs what fusing it would
+        # every gate spans the register: take their product in Python complex
+        # arithmetic, reading each distinct gate's entries once, and apply it once
+        entries: dict[Gate, list] = {}
+        a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
         for op in circuit.ops:
-            tensor = op.matrix @ tensor
-        return tensor
+            m = entries.get(op)
+            if m is None:
+                m = entries[op] = op.matrix.ravel().tolist()
+            e, f, g, h = m
+            a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
+        return np.array([[a, b], [c, d]]) @ tensor
     for matrix, op in _fused(circuit.ops):
         _apply_op(tensor, circuit.width, matrix, op)
     return tensor

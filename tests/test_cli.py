@@ -289,6 +289,15 @@ class TestCircuitTrace:
         assert (code, data) == (2, b"")
         assert "--x gives 2" in capsys.readouterr().err
 
+    def test_dense_state_preparation_beyond_ceiling_is_config_error(self, tmp_path, capsys):
+        # 2,912 terms: the traced F would be dense on 12 selector qubits, 4^12 entries
+        code, data = run_cli(
+            ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "12", "--x", "0.3,0.6,0.7"],
+            tmp_path, "trace-big.json",
+        )
+        assert (code, data) == (2, b"")
+        assert "above the dense ceiling" in capsys.readouterr().err
+
 
 class TestJsonText:
     def test_doubles_round_trip(self):
@@ -318,7 +327,8 @@ def reference_json_text(doc) -> str:
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
         if isinstance(obj, (np.floating, np.integer)):
-            return clean(obj.item())
+            item = obj.item()  # a long double's item() is a long double: json refuses it
+            return obj if isinstance(item, np.generic) else clean(item)
         return obj
 
     return json.dumps(clean(doc), indent=2) + "\n"
@@ -364,8 +374,11 @@ class TestJsonWriterMatchesReference:
             arr[-1, ...] = bad
             assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
 
-    @pytest.mark.parametrize("bad", [{1, 2}, object(), np.array([1, 2]),
-                                     np.array([1j]), np.bool_(True), {(1, 2): 0}])
+    @pytest.mark.parametrize("bad", [
+        {1, 2}, object(), np.array([1, 2]), np.array([1j]), np.bool_(True), {(1, 2): 0},
+        pytest.param(np.longdouble(1.5), marks=pytest.mark.skipif(
+            np.dtype(np.longdouble).itemsize <= 8, reason="long double is a double here")),
+    ])
     def test_unwritable_types_raise(self, bad):
         for doc in (bad, {"a": [1, bad]}):
             with pytest.raises(TypeError):

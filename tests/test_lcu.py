@@ -16,18 +16,22 @@ from qkorobov.lcu import (
     evaluate_via_circuit,
     hadamard_test,
     hadamard_test_circuit,
+    hadamard_test_report,
     plan_from_terms,
     prepare_state_unitary,
+    run_hadamard_test,
 )
 from qkorobov import qsp
-from qkorobov.analysis import corpus, generic_point
+from qkorobov.analysis import corpus, corpus_function, generic_point
 from qkorobov.qsp import bind_signal, chebyshev_circuit
 from qkorobov.simulator import (
     Circuit,
     Gate,
     IDENTITY_2,
     circuit_unitary,
+    expectation_z_first,
     resource_report,
+    run_circuit,
 )
 from qkorobov.sparsegrid import chebyshev_expansion, surplus_coefficients
 
@@ -39,8 +43,9 @@ PROD_QUAD_2 = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1])
 
 
 def identity_plan(weights):
-    circuits = [Circuit(1, [Gate(IDENTITY_2, (0,))]) for _ in weights]
-    return LcuPlan(weights, circuits)
+    # one block, the identity gate, on the one data qubit of every term
+    table = np.zeros((len(weights), 1), dtype=int)
+    return LcuPlan(weights, [Circuit(1, [Gate(IDENTITY_2, (0,))])], table)
 
 
 class TestPrepareState:
@@ -80,6 +85,24 @@ class TestPrepareState:
         with pytest.raises(ValueError):
             prepare_state_unitary([])
 
+    def test_rejects_column_off_the_unit_sphere(self):
+        # ||a||_1 overflows, or a weight is nan: F|0> is no unit vector
+        for a in ([1e308, 1e308], [1.0, math.nan], [math.inf, 1.0]):
+            with pytest.raises(ValueError, match="unit vector"):
+                prepare_state_unitary(a)
+
+    def test_dense_ceiling_checked_before_allocating(self):
+        # 2^11 + 1 terms need 12 selector qubits: F would hold 4^12 > 2^22 entries
+        m = 2 ** 11 + 1
+        with pytest.raises(ValueError, match="dense ceiling"):
+            prepare_state_unitary(np.ones(m))
+        plan = LcuPlan(np.ones(m), [Circuit(1)], np.zeros((m, 1), dtype=int))
+        with pytest.raises(ValueError, match="dense ceiling"):
+            assemble_lcu(plan)
+        # the structured run never makes F dense, so the plan still evaluates
+        assert expectation_z_first(run_hadamard_test(plan)) == pytest.approx(1.0, abs=1e-12)
+        assert hadamard_test_report(plan).width == 1 + 12 + 1
+
 
 def select_segment(plan):
     """The assembled select ops alone: everything between F and F^dag."""
@@ -90,7 +113,7 @@ def select_segment(plan):
 class TestMultiplexer:
     # the select block of assemble_lcu: one selector-controlled gate per term gate
     def test_single_term_is_plain_gate(self):
-        plan = LcuPlan(np.array([1.0]), [Circuit(1, [Gate(PAULI_X, (0,))])])
+        plan = LcuPlan(np.array([1.0]), [Circuit(1, [Gate(PAULI_X, (0,))])], [[0]])
         circuit = assemble_lcu(plan)
         assert circuit.width == 1
         [op] = circuit.ops
@@ -98,8 +121,8 @@ class TestMultiplexer:
         np.testing.assert_allclose(op.matrix, PAULI_X)
 
     def test_two_term_selector(self):
-        circuits = [Circuit(1, [Gate(IDENTITY_2, (0,))]), Circuit(1, [Gate(PAULI_X, (0,))])]
-        plan = LcuPlan(np.array([1.0, 1.0]), circuits)
+        blocks = [Circuit(1, [Gate(IDENTITY_2, (0,))]), Circuit(1, [Gate(PAULI_X, (0,))])]
+        plan = LcuPlan(np.array([1.0, 1.0]), blocks, [[0], [1]])
         dense = circuit_unitary(select_segment(plan))
         expected = np.eye(4, dtype=complex)
         expected[2:, 2:] = PAULI_X
@@ -112,7 +135,7 @@ class TestMultiplexer:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
-            LcuPlan(np.array([1.0, 1.0]), [Circuit(1), Circuit(2)])
+            LcuPlan(np.array([1.0, 1.0]), [Circuit(1), Circuit(2)], [[0], [1]])
 
 
 class TestAssemble:
@@ -134,7 +157,7 @@ class TestAssemble:
 
     def test_gate_free_negative_term_keeps_its_sign(self):
         # degree-0 terms have no gates when identity gates are left out
-        plan = LcuPlan(np.array([1.0, -1.0]), [Circuit(1), Circuit(1)])
+        plan = LcuPlan(np.array([1.0, -1.0]), [Circuit(1)], [[0], [0]])
         assert abs(direct_amplitude(assemble_lcu(plan))) <= 1e-12
 
     def test_identity_free_circuit_matches_classical(self):
@@ -168,9 +191,9 @@ class TestAssemble:
         smap = surplus_coefficients(PROD_QUAD_2, 3, 2)
         terms = [t for t in chebyshev_expansion(smap, np.array([0.3, 0.45])) if t.weight]
         plan = plan_from_terms(terms, 2)
-        distinct = {(j, k, u) for t in terms for j, (k, u) in enumerate(zip(t.degrees, t.arguments))}
+        distinct = {(k, u) for t in terms for k, u in zip(t.degrees, t.arguments)}
         assert plan.term_count == len(terms)
-        assert len(calls) == len(distinct) < len(terms) * 2  # the terms share arguments
+        assert len(calls) == len(plan.blocks) == len(distinct) < len(terms) * 2  # shared
 
 
 class TestCircuitJsonOps:
@@ -220,6 +243,7 @@ class TestPlan:
                     assert plan.ancilla_count == max(0, math.ceil(math.log2(w.size)))
                     assert plan.term_count == len(plan.term_circuits) == w.size
                     assert plan.data_width == func.d
+                    assert plan.table.shape == (w.size, func.d)
 
     def test_zero_or_nan_weight_rejected(self):
         for bad in (0.0, -0.0, math.nan, math.inf, -math.inf):
@@ -228,13 +252,22 @@ class TestPlan:
         with pytest.raises(ValueError, match="at least one term"):
             identity_plan([])
         with pytest.raises(ValueError, match="align"):
-            LcuPlan(np.array([1.0, -1.0]), [Circuit(1)])
+            LcuPlan(np.array([1.0, -1.0]), [Circuit(1)], [[0]])
+
+    def test_table_must_index_the_blocks(self):
+        for table in ([[1]], [[-1]], [[0.0]]):
+            with pytest.raises(ValueError, match="index the blocks"):
+                LcuPlan(np.array([1.0]), [Circuit(1)], table)
+        with pytest.raises(ValueError, match="width"):
+            LcuPlan(np.array([1.0]), [Circuit(1)], np.zeros((1, 0), dtype=int))
 
     def test_weights_are_read_only(self):
         given = np.array([0.5, -2.0])
         plan = identity_plan(given)
         with pytest.raises(ValueError, match="read-only"):
             plan.weights[1] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.table[1, 0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.weights = np.array([0.5, 2.0])
         given[1] = 2.0  # the plan keeps its own copy
@@ -260,7 +293,7 @@ def plan_from_terms_from_circuit(x):
     """Plan with the single degree-1 term bound at x."""
     ops = [Gate(op.matrix, (0,), label=op.label)
            for op in bind_signal(chebyshev_circuit(1), x).ops]
-    return LcuPlan(np.array([1.0]), [Circuit(1, ops)])
+    return LcuPlan(np.array([1.0]), [Circuit(1, ops)], [[0]])
 
 
 class TestHadamardTest:
@@ -344,6 +377,14 @@ class TestEvaluateViaCircuit:
             _, report = evaluate_via_circuit(smap, x)
             assert report.width == d + max(0, math.ceil(math.log2(m))) + 1
 
+    def test_d3_n12_without_dense_f(self):
+        # 2,912 terms on 12 selector qubits: a dense F would hold 4^12 entries
+        smap = surplus_coefficients(corpus_function("prod-quad", 3).f, 12, 3)
+        x = generic_point(3)
+        value, report = evaluate_via_circuit(smap, x)
+        assert abs(value - smap.evaluate(x)) <= 1e-12
+        assert report.width == 3 + 12 + 1
+
     def test_rejects_bad_term_argument(self):
         from qkorobov.sparsegrid import ChebyshevTerm, GridIndex
 
@@ -394,3 +435,100 @@ class TestGateAccounting:
             circuit = assemble_lcu(plan)
             expected = 2 * degree_norm + d * m + (2 if plan.ancilla_count else 0)
             assert len(circuit.ops) == expected
+
+
+def random_unitary(rng, dim=2):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_plan(rng, m, d):
+    """Hand-built plan: random blocks of 0-3 gates, random table and signs.
+
+    Block 0 is gate-free, and the last term runs it on every qubit with a
+    negative weight, so one negative term has no gate to carry its sign.
+    """
+    blocks = [Circuit(1)] + [
+        Circuit(1, [Gate(random_unitary(rng), (0,)) for _ in range(int(rng.integers(0, 4)))])
+        for _ in range(int(rng.integers(1, 5)))
+    ]
+    table = rng.integers(0, len(blocks), size=(m, d))
+    weights = rng.uniform(0.05, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+    if m > 1:
+        table[-1] = 0
+        weights[-1] = -abs(weights[-1])
+    return LcuPlan(weights, blocks, table)
+
+
+def gate_list_state(plan):
+    return run_circuit(hadamard_test_circuit(assemble_lcu(plan)))
+
+
+class TestStructuredRun:
+    """``run_hadamard_test`` = ``run_circuit`` of the test circuit's gate list."""
+
+    def test_random_hand_built_plans(self):
+        rng = np.random.default_rng(2024)
+        # M = 1, powers of two and not, so padding slots with and without
+        for m in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17):
+            for d in (1, 2, 3):
+                plan = random_plan(rng, m, d)
+                want = gate_list_state(plan)
+                got = run_hadamard_test(plan)
+                assert got.width == want.width == d + plan.ancilla_count + 1
+                np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
+
+    def test_all_negative_and_gate_free_terms(self):
+        for weights in ([-1.0], [-0.5, -2.0], [-1.0, 3.0, -0.25]):
+            m = len(weights)
+            plan = LcuPlan(weights, [Circuit(1)], np.zeros((m, 2), dtype=int))
+            np.testing.assert_allclose(run_hadamard_test(plan).amplitudes,
+                                       gate_list_state(plan).amplitudes, rtol=0, atol=1e-12)
+            assert expectation_z_first(run_hadamard_test(plan)) == pytest.approx(
+                sum(weights) / plan.one_norm, abs=1e-12)
+
+    @pytest.mark.parametrize("include_identity", [True, False])
+    def test_expansion_plans(self, include_identity):
+        rng = np.random.default_rng(9)
+        for func in corpus():
+            for n in (1, 2, 3):
+                smap = surplus_coefficients(func.f, n, func.d)
+                for x in (generic_point(func.d), *rng.random((2, func.d))):
+                    plan = plan_from_terms(chebyshev_expansion(smap, x), func.d,
+                                           include_identity)
+                    np.testing.assert_allclose(
+                        run_hadamard_test(plan).amplitudes,
+                        gate_list_state(plan).amplitudes, rtol=0, atol=1e-12)
+
+
+class TestReportFromPlan:
+    """``hadamard_test_report`` = ``resource_report`` of the built test circuit, exactly."""
+
+    def test_corpus_points(self):
+        for func in corpus():
+            if func.d > 3:
+                continue
+            generic = generic_point(func.d)
+            dyadic = np.full(func.d, 0.375)  # a grid line of level 3 on every axis
+            boundary = generic.copy()
+            boundary[-1] = 1.0
+            for n in range(1, 7):
+                smap = surplus_coefficients(func.f, n, func.d)
+                for x in (generic, dyadic, boundary):
+                    for include_identity in (True, False):
+                        plan = plan_from_terms(chebyshev_expansion(smap, x), func.d,
+                                               include_identity)
+                        if plan is None:  # no level supports a boundary point
+                            assert x is boundary
+                            continue
+                        built = hadamard_test_circuit(assemble_lcu(plan))
+                        assert hadamard_test_report(plan) == resource_report(built)
+
+    def test_hand_built_plans(self):
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3, 8, 9):
+            for d in (1, 3):
+                plan = random_plan(rng, m, d)
+                built = hadamard_test_circuit(assemble_lcu(plan))
+                assert hadamard_test_report(plan) == resource_report(built)

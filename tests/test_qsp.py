@@ -95,6 +95,14 @@ class TestSignalEncoding:
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             signal_encoding(1.5)
 
+    def test_nan_rejected(self):
+        # nan is no point of [-1, 1]: no W(-1) or other matrix stands in for it
+        for x in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError, match=r"nan outside \[-1, 1\]"):
+                signal_encoding(x)
+            with pytest.raises(ValueError, match=r"nan outside \[-1, 1\]"):
+                bind_signal(chebyshev_circuit(2), x)
+
 
 class TestAnsatz:
     def test_single_zero_phase_is_identity(self):

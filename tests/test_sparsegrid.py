@@ -549,7 +549,7 @@ class TestEvaluatorsAgree:
         np.testing.assert_allclose(diagonal, scalar, rtol=0, atol=tol)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(agreement_cases(2, 3))
+    @given(agreement_cases(3, 5))
     def test_circuit(self, case):
         (kind, d, n), points = case
         s = corpus_map(kind, n, d)
