@@ -36,6 +36,7 @@ from .sparsegrid import (
     GridIndex,
     SurplusMap,
     chebyshev_expansion,
+    gauss_legendre,
     grid_count,
     index_set,
     integral_coefficient,  # re-exported: part of this module's interface
@@ -176,7 +177,7 @@ def _dyadic_grid(n: int) -> np.ndarray:
 
 def _gl_composite(n: int) -> tuple[np.ndarray, np.ndarray]:
     # 8-point Gauss-Legendre on each of 2^(n+2) equal subintervals of [0,1]
-    base, base_w = np.polynomial.legendre.leggauss(8)
+    base, base_w = gauss_legendre(8)
     cells = 2 ** (n + 2)
     width = 1.0 / cells
     lo = np.arange(cells) * width

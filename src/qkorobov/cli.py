@@ -33,7 +33,6 @@ import numpy as np
 
 from . import analysis, lcu, sparsegrid
 from .analysis import KorobovTestFunction
-from .simulator import MAX_DENSE_WIDTH
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -318,7 +317,7 @@ def cmd_convergence(args) -> int:
         doc = {
             "function": func.name,
             "d": func.d,
-            "p": "inf" if p == math.inf else p,
+            "p": p,
             "log_exponent": 3 * (func.d - 1),
             "rows": [
                 {"n": r.n, "N": r.N, "error_inf": r.error_inf,
@@ -366,7 +365,7 @@ def cmd_resources(args) -> int:
             estimates.append(
                 {
                     "epsilon": est.epsilon, "d": est.d,
-                    "p": "inf" if est.p == math.inf else est.p,
+                    "p": est.p,
                     "formula": est.formula, "alpha": est.alpha, "beta": est.beta,
                     "lambert_w": est.lambert_w_value,
                     "refined_depth": est.predicted_depth_bound,
@@ -375,8 +374,16 @@ def cmd_resources(args) -> int:
                     "simplified_width": est.simplified_width_bound,
                 }
             )
-    measured = []
     n_values = parse_n_range(args) if (args.n is not None or args.n_range) else [1, 2, 3, 4]
+    if args.format == "csv":
+        header = ["epsilon", "d", "formula", "lambert_w", "refined_depth",
+                  "refined_width", "simplified_depth", "simplified_width"]
+        rows = [[e["epsilon"], e["d"], e["formula"], e["lambert_w"], e["refined_depth"],
+                 e["refined_width"], e["simplified_depth"], e["simplified_width"]]
+                for e in estimates]
+        write_out(csv_text(header, rows, [f"p={fmt(p)}"]), args.out)
+        return EXIT_OK
+    measured = []
     for d in d_values:
         for n in n_values:
             try:
@@ -386,31 +393,16 @@ def cmd_resources(args) -> int:
                                  "reason": "no corpus function for this d"})
                 continue
             smap = sparsegrid.surplus_coefficients(func.f, n, d)
-            x = analysis.generic_point(d)
-            terms = sparsegrid.chebyshev_expansion(smap, x)
-            m = sum(1 for t in terms if t.weight != 0.0)
-            width = d + lcu.ancilla_count(m) + 1 if m else 0
-            if not m or width > MAX_DENSE_WIDTH:
-                measured.append({"d": d, "n": n, "terms": m, "width": width,
-                                 "feasible": False, "reason": "width beyond dense ceiling"})
-                continue
+            terms = sparsegrid.chebyshev_expansion(smap, analysis.generic_point(d))
             plan = lcu.plan_from_terms(terms, d)
             report = lcu.hadamard_test_report(plan)
             measured.append(
-                {"d": d, "n": n, "terms": m, "width": report.width,
+                {"d": d, "n": n, "terms": plan.term_count, "width": report.width,
                  "touch_depth": report.touch_depth, "gate_count": report.gate_count,
                  "feasible": True}
             )
-    doc = {"p": "inf" if p == math.inf else p, "estimates": estimates, "measured": measured}
-    if args.format == "csv":
-        header = ["epsilon", "d", "formula", "lambert_w", "refined_depth",
-                  "refined_width", "simplified_depth", "simplified_width"]
-        rows = [[e["epsilon"], e["d"], e["formula"], e["lambert_w"], e["refined_depth"],
-                 e["refined_width"], e["simplified_depth"], e["simplified_width"]]
-                for e in estimates]
-        write_out(csv_text(header, rows, [f"p={fmt(p)}"]), args.out)
-    else:
-        write_out(json_text(doc), args.out)
+    doc = {"p": p, "estimates": estimates, "measured": measured}
+    write_out(json_text(doc), args.out)
     return EXIT_OK
 
 

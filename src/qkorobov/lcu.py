@@ -32,15 +32,17 @@ The test unitary exists in two forms:
   select stack (block products, the identity on padding slots, the sign in
   the qubit-0 factor), then F^dag = F.  It builds no gate per term and no
   dense F; ``hadamard_test_report`` counts its gates from the plan.
-  ``evaluate_via_circuit`` uses these two.
+  ``evaluate_via_circuit`` uses these two.  The state holds 2^(d+s+1)
+  amplitudes, so ``simulator.check_dense`` refuses it above
+  2^MAX_DENSE_WIDTH, as it does every dense array.
 * ``assemble_lcu`` spells the select out gate by gate: every single-qubit
   gate of every term circuit becomes one ``Gate`` whose controls are the
   selector and whose control values are the bits of the term index j (M = 1
-  needs no ancilla and no controls), between a dense F and F^dag, refused
-  above 2^MAX_DENSE_WIDTH entries.  Wrapped by ``hadamard_test_circuit``, it
-  is what the ``circuit`` trace writes, and ``run_circuit`` on it is the
-  reference the structured run is tested against.  Its derived gates reuse
-  the checked read-only matrices.
+  needs no ancilla and no controls), between a dense F and F^dag, which the
+  same rule refuses above 2^MAX_DENSE_WIDTH entries.  Wrapped by
+  ``hadamard_test_circuit``, it is what the ``circuit`` trace writes, and
+  ``run_circuit`` on it is the reference the structured run is tested
+  against.  Its derived gates reuse the checked read-only matrices.
 """
 
 from __future__ import annotations
@@ -56,13 +58,12 @@ from . import qsp
 from .simulator import (
     HADAMARD,
     IDENTITY_2,
-    MAX_DENSE_WIDTH,
     UNITARY_ATOL,
     Circuit,
     Gate,
     ResourceReport,
     Statevector,
-    _check_dense_width,
+    check_dense,
     circuit_unitary,
     controlled,
     expectation_z_first,
@@ -110,11 +111,7 @@ def prepare_state_unitary(coefficients) -> np.ndarray:
     a = np.asarray(coefficients, dtype=float).reshape(-1)
     v = _reflection_vector(a)
     s = ancilla_count(a.size)
-    if 2 * s > MAX_DENSE_WIDTH:
-        raise ValueError(
-            f"dense state preparation on {s} selector qubits needs 4^{s} entries, "
-            f"above the dense ceiling of 2^MAX_DENSE_WIDTH = 2^{MAX_DENSE_WIDTH}"
-        )
+    check_dense(2 * s, f"dense state preparation on {s} selector qubits")
     if v is None:
         return np.eye(2 ** s, dtype=complex)
     f = np.eye(v.size) - 2.0 * np.outer(v, v) / (v @ v)
@@ -299,7 +296,7 @@ def run_hadamard_test(plan: LcuPlan) -> Statevector:
     """
     d, s = plan.data_width, plan.ancilla_count
     width = d + s + 1
-    _check_dense_width(width)
+    check_dense(width, f"a width-{width} Hadamard-test state")
     v = _reflection_vector(plan.coefficients)
     stack = _select_stack(plan)
 

@@ -15,8 +15,8 @@ Chebyshev polynomials:
 ``chebyshev_circuit`` builds this zero-phase instance as a symbolic width-1
 circuit (x is bound later with ``bind_signal``); finding phases for other
 target polynomials is out of scope.  ``bind_signal`` checks W(x) once per
-placeholder gate (``chebyshev_circuit`` shares one) and copies the other ops
-unchecked, since they already fit the circuit's width.
+placeholder gate (``chebyshev_circuit`` shares one) and builds the bound
+circuit with the ordinary ``Circuit`` check.
 """
 
 from __future__ import annotations
@@ -88,4 +88,4 @@ def bind_signal(circuit: Circuit, x: float) -> Circuit:
     # gates are immutable: each placeholder gate becomes one bound gate, shared
     bound = {op: Gate(w, op.targets, op.controls, op.control_values, label=SIGNAL_LABEL)
              for op in set(circuit.ops) if op.label == SIGNAL_LABEL}
-    return Circuit._trusted(circuit.width, tuple([bound.get(op, op) for op in circuit.ops]))
+    return Circuit(circuit.width, [bound.get(op, op) for op in circuit.ops])

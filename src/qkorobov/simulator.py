@@ -17,15 +17,15 @@ Conventions used throughout the package:
   reuse that read-only matrix without a second dense check; the role and
   width checks still run where they can fail.
 * ``Circuit`` is read-only: a width and a tuple of gates, checked in one
-  pass when it is built, so a builder collects its ops first.  Only
-  ``qsp.bind_signal``, which swaps gates one for one on the same wiring,
-  skips that check (``Circuit._trusted``), as derived gates do.
-* Simulation is exact and dense.  ``MAX_DENSE_WIDTH`` = 22 is the ceiling
-  (the statevector alone is 64 MiB there), enforced before allocating.
-  ``run_circuit`` fuses adjacent gates with the same wiring before applying
-  them; a width-1 circuit, whose gates all share the one wire, becomes one
-  product taken in Python complex arithmetic.  Fusion is execution-only:
-  ``Circuit.ops`` and every count keep the unfused ops.
+  pass when it is built, so a builder collects its ops first.
+* Simulation is exact and dense.  One rule decides what may be allocated
+  densely: ``check_dense`` refuses any array of more than 2^MAX_DENSE_WIDTH
+  complex entries (MAX_DENSE_WIDTH = 22, 64 MiB), before it is allocated.
+  It guards the statevector (2^width), ``circuit_unitary`` (4^width), the
+  dense state preparation of ``lcu`` and its structured Hadamard-test run.
+  ``run_circuit`` applies the gates one at a time, except that a width-1
+  circuit, whose gates all share the one wire, becomes one product taken in
+  Python complex arithmetic.
 
 Resource accounting costs a gate with ``c`` control wires as ``max(1, c)``
 elementary gates on each wire it touches.  This mirrors the ancilla-free
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -72,10 +71,12 @@ def _as_unitary(matrix, what: str) -> np.ndarray:
     return m
 
 
-def _check_dense_width(width: int) -> None:
-    if width > MAX_DENSE_WIDTH:
+def check_dense(log2_entries: int, what: str) -> None:
+    """Refuse ``what``, a dense array of 2^log2_entries complex entries, above the ceiling."""
+    if log2_entries > MAX_DENSE_WIDTH:
         raise ValueError(
-            f"width {width} exceeds the dense ceiling MAX_DENSE_WIDTH = {MAX_DENSE_WIDTH}"
+            f"{what} needs 2^{log2_entries} complex entries, "
+            f"above the dense ceiling of 2^MAX_DENSE_WIDTH = 2^{MAX_DENSE_WIDTH}"
         )
 
 
@@ -172,13 +173,6 @@ class Circuit:
         if bad:
             raise ValueError(f"op touches qubit(s) {bad} outside width {self.width}")
 
-    @classmethod
-    def _trusted(cls, width: int, ops: tuple[Gate, ...]) -> "Circuit":
-        """A circuit built without checks, for ops with the wiring of a checked circuit."""
-        circuit = object.__new__(cls)
-        circuit.__dict__.update(width=width, ops=ops)
-        return circuit
-
 
 @dataclass(eq=False)
 class Statevector:
@@ -196,7 +190,7 @@ class Statevector:
 
     @classmethod
     def zero(cls, width: int) -> "Statevector":
-        _check_dense_width(width)
+        check_dense(width, f"a width-{width} statevector")
         amps = np.zeros(2 ** width, dtype=complex)
         amps[0] = 1.0
         return cls(amps, width)
@@ -210,8 +204,8 @@ def _axis(width: int, qubit: int) -> int:
     return width - 1 - qubit
 
 
-def _apply_op(tensor: np.ndarray, width: int, matrix: np.ndarray, op: Gate) -> None:
-    """Apply ``matrix`` on the wiring (targets, controls, values) of ``op``."""
+def _apply_op(tensor: np.ndarray, width: int, op: Gate) -> None:
+    """Apply ``op`` on its wiring (targets, controls, values)."""
     slicer = [slice(None)] * tensor.ndim
     for q, v in zip(op.controls, op.control_values):
         slicer[_axis(width, q)] = slice(v, v + 1)
@@ -221,26 +215,8 @@ def _apply_op(tensor: np.ndarray, width: int, matrix: np.ndarray, op: Gate) -> N
     axes = [_axis(width, q) for q in reversed(op.targets)]
     moved = np.moveaxis(view, axes, range(k))
     flat = moved.reshape(2 ** k, -1)
-    out = (matrix @ flat).reshape(moved.shape)
+    out = (op.matrix @ flat).reshape(moved.shape)
     tensor[slicer] = np.moveaxis(out, range(k), axes)
-
-
-def _fused(ops: list[Gate]) -> Iterator[tuple[np.ndarray, Gate]]:
-    """Yield (product matrix, first gate) per run of adjacent same-wiring gates.
-
-    Fusion is execution-only: the products are never stored in a circuit.
-    """
-    if not ops:
-        return
-    run, matrix = ops[0], ops[0].matrix
-    for op in ops[1:]:
-        if (op.targets == run.targets and op.controls == run.controls
-                and op.control_values == run.control_values):
-            matrix = op.matrix @ matrix
-        else:
-            yield matrix, run
-            run, matrix = op, op.matrix
-    yield matrix, run
 
 
 def _run_ops(tensor: np.ndarray, circuit: "Circuit") -> np.ndarray:
@@ -257,14 +233,14 @@ def _run_ops(tensor: np.ndarray, circuit: "Circuit") -> np.ndarray:
             e, f, g, h = m
             a, b, c, d = e * a + f * c, e * b + f * d, g * a + h * c, g * b + h * d
         return np.array([[a, b], [c, d]]) @ tensor
-    for matrix, op in _fused(circuit.ops):
-        _apply_op(tensor, circuit.width, matrix, op)
+    for op in circuit.ops:
+        _apply_op(tensor, circuit.width, op)
     return tensor
 
 
 def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
     """Apply all ops of ``circuit`` in order to ``initial`` (default |0...0>)."""
-    _check_dense_width(circuit.width)
+    check_dense(circuit.width, f"a width-{circuit.width} statevector")
     if initial is None:
         initial = Statevector.zero(circuit.width)
     if initial.width != circuit.width:
@@ -277,8 +253,7 @@ def run_circuit(circuit: Circuit, initial: Statevector | None = None) -> Stateve
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense matrix of the whole circuit (column c is the image of |c>)."""
-    if circuit.width > 12:
-        raise ValueError("dense circuit matrix limited to width <= 12")
+    check_dense(2 * circuit.width, f"the matrix of a width-{circuit.width} circuit")
     dim = 2 ** circuit.width
     mat = np.eye(dim, dtype=complex)
     return _run_ops(mat.reshape([2] * circuit.width + [dim]), circuit).reshape(dim, dim)

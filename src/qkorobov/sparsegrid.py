@@ -43,6 +43,7 @@ P1(u), which is what ``chebyshev_expansion`` emits for the circuit pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -520,6 +521,17 @@ def chebyshev_expansion(s: SurplusMap, x) -> list[ChebyshevTerm]:
     return terms
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
+
+    ``np.polynomial.legendre.leggauss(order)``, computed once per order.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def support_rule(level: Sequence[int], indices: Sequence[Sequence[int]] | None = None,
                  nodes_per_cell: int = 32, kernel: bool = False):
     """Two-cell Gauss-Legendre rules on the supports of the hats of one level.
@@ -539,7 +551,7 @@ def support_rule(level: Sequence[int], indices: Sequence[Sequence[int]] | None =
     if len(indices) != len(level):
         raise ValueError("need one index list per level component")
     d = len(level)
-    base, base_w = np.polynomial.legendre.leggauss(nodes_per_cell)
+    base, base_w = gauss_legendre(nodes_per_cell)
     axis_pts, axis_wts = [], []
     for j, (l, idx) in enumerate(zip(level, indices)):
         odd = np.asarray(idx, dtype=np.int64)

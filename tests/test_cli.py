@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkorobov import sparsegrid
 from qkorobov.cli import build_parser, json_text, main
 
 # the options each subcommand reads and its --format choices, default first
@@ -231,6 +233,20 @@ class TestResources:
         doc = json.loads(data)
         depths = {r["epsilon"]: r["refined_depth"] for r in doc["estimates"]}
         assert depths[0.05] > depths[0.5]
+
+    def test_csv_builds_no_map(self, tmp_path, monkeypatch):
+        # the CSV prints only the estimates, so no surplus map may be built for it
+        def refuse(*args, **kwargs):
+            raise AssertionError("resources --format csv built a surplus map")
+
+        monkeypatch.setattr(sparsegrid, "surplus_coefficients", refuse)
+        code, data = run_cli(
+            ["resources", "--d", "3", "--n-range", "1..6", "--format", "csv"],
+            tmp_path, "res.csv",
+        )
+        assert code == 0
+        golden = Path(__file__).resolve().parent / "golden" / "resources-csv.out"
+        assert data == golden.read_bytes()
 
 
 class TestAudit:

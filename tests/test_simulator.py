@@ -1,6 +1,7 @@
 """Gate application, circuit composition, and resource counters."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qkorobov.simulator import (
     MAX_DENSE_WIDTH,
     UNITARY_ATOL,
     Statevector,
+    check_dense,
     circuit_unitary,
     controlled,
     expectation_z_first,
@@ -20,6 +22,7 @@ from qkorobov.simulator import (
     run_circuit,
     shifted,
 )
+from qkorobov.lcu import LcuPlan, prepare_state_unitary, run_hadamard_test
 from qkorobov.qsp import chebyshev_circuit
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -196,11 +199,39 @@ class TestDenseCeiling:
         with pytest.raises(ValueError, match="MAX_DENSE_WIDTH"):
             run_circuit(Circuit(MAX_DENSE_WIDTH + 1))
 
+    # each allocation site one step above its limit: 2^(MAX_DENSE_WIDTH + 1)
+    # amplitudes, a width-12 matrix (4^12 entries), F on 12 selector qubits
+    # (4^12 entries) and a d + s + 1 = MAX_DENSE_WIDTH + 1 Hadamard-test state
+    @pytest.mark.parametrize("call", [
+        lambda: Statevector.zero(MAX_DENSE_WIDTH + 1),
+        lambda: run_circuit(Circuit(MAX_DENSE_WIDTH + 1)),
+        lambda: circuit_unitary(Circuit(MAX_DENSE_WIDTH // 2 + 1)),
+        lambda: prepare_state_unitary(np.ones(2 ** (MAX_DENSE_WIDTH // 2) + 1)),
+        lambda: run_hadamard_test(LcuPlan(
+            [1.0, 1.0], [Circuit(1)], np.zeros((2, MAX_DENSE_WIDTH - 1), dtype=int))),
+    ], ids=["zero-state", "run-circuit", "circuit-unitary", "prepare-state",
+            "hadamard-test"])
+    def test_every_site_refuses_before_allocating(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense ceiling") as info:
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "MAX_DENSE_WIDTH" in str(info.value)
+        assert peak < 2 ** 20  # the refused array would take 128 MiB or more
+
+    def test_ceiling_itself_is_allowed(self):
+        check_dense(MAX_DENSE_WIDTH, "an array at the ceiling")
+        with pytest.raises(ValueError, match="dense ceiling"):
+            check_dense(MAX_DENSE_WIDTH + 1, "an array above the ceiling")
+
 
 class TestFusion:
     def test_fused_run_equals_gate_by_gate(self):
         # runs of same-wiring gates (control values 0 and 1) interleaved with
-        # wiring changes; run_circuit fuses each run before applying it
+        # wiring changes, against a Kronecker-product reference per gate
         rng = np.random.default_rng(17)
         for _ in range(60):
             width = int(rng.integers(2, 6))
@@ -222,7 +253,7 @@ class TestFusion:
             n_ops = len(circ.ops)
             got = run_circuit(circ, state)
             np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
-            assert len(circ.ops) == n_ops  # fusion never rewrites the circuit
+            assert len(circ.ops) == n_ops  # running never rewrites the circuit
 
 
 class TestExpectationZFirst:

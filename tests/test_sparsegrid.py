@@ -19,6 +19,7 @@ from qkorobov.sparsegrid import (
     SurplusMap,
     chebyshev_expansion,
     enumerate_levels,
+    gauss_legendre,
     grid_count,
     hat,
     index_set,
@@ -406,6 +407,20 @@ class TestIntegralOracle:
         s = surplus_coefficients(PROD_QUAD_2, 3, 2)
         for g, v in s.items():
             assert integral_coefficient(dd, g) == pytest.approx(v, abs=1e-10)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("order", [1, 8, 24, 32])
+    def test_equals_leggauss_and_is_read_only(self, order):
+        nodes, weights = gauss_legendre(order)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_array_equal(nodes, want_nodes)
+        np.testing.assert_array_equal(weights, want_weights)
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
+        assert gauss_legendre(order)[0] is nodes  # computed once per order
 
 
 class TestInterpolant:
