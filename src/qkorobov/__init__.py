@@ -20,7 +20,6 @@ from .qsp import (
     signal_encoding,
 )
 from .sparsegrid import (
-    ChebyshevTerm,
     GridIndex,
     SurplusMap,
     chebyshev_expansion,

@@ -598,12 +598,12 @@ def depth_envelope_study(func: KorobovTestFunction, n_values: Sequence[int],
     points = []
     for n in n_values:
         smap = surplus_coefficients(func.f, n, func.d)
-        kept = [t for t in chebyshev_expansion(smap, x) if t.weight != 0.0]
-        plan = plan_from_terms(kept, func.d)
+        terms = chebyshev_expansion(smap, x)
+        plan = plan_from_terms(terms, func.d)
         if plan is None:
             raise ValueError(f"no supported terms at n={n}; pick a generic x")
         m = plan.term_count
-        degree_norm = int(sum(sum(t.degrees) for t in kept))
+        degree_norm = int(terms["degrees"][terms["weight"] != 0.0].sum())
         report = resource_report(assemble_lcu(plan))
         envelope = (2.0 * degree_norm + func.d * m) * math.log2(max(m, 2))
         points.append(EnvelopePoint(n, m, degree_norm, report.touch_depth, envelope))

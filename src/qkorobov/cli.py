@@ -243,8 +243,9 @@ def cmd_eval(args) -> int:
             "touch_depth": report.touch_depth,
         }
         if args.normalized:
-            terms = sparsegrid.chebyshev_expansion(smap, x)
-            one_norm = float(sum(abs(t.weight) for t in terms))
+            weights = sparsegrid.chebyshev_expansion(smap, x)["weight"]
+            # Python's left-to-right sum: numpy's pairwise sum can differ in the last bit
+            one_norm = float(sum(np.abs(weights).tolist()))
             row["one_norm"] = one_norm
             row["normalized_amplitude"] = value / one_norm if one_norm else 0.0
         rows.append(row)
@@ -458,16 +459,15 @@ def cmd_circuit(args) -> int:
         sparsegrid.chebyshev_expansion(smap, x), func.d,
         include_identity=args.include_identity_gates,
     )
-    if plan is None:
-        write_out(json_text({"width": 0, "terms": 0, "one_norm": 0.0, "ops": []}), args.out)
-        return EXIT_OK
-    circuit = lcu.hadamard_test_circuit(lcu.assemble_lcu(plan))
+    # a point no term supports (grid lines, boundary) traces the empty circuit
     doc = {
         "function": func.name, "d": func.d, "n": n, "x": list(map(float, x)),
-        "width": circuit.width, "terms": plan.term_count,
-        "one_norm": plan.one_norm,
-        "ops": lcu.circuit_json_ops(circuit),
+        "width": 0, "terms": 0, "one_norm": 0.0, "ops": [],
     }
+    if plan is not None:
+        circuit = lcu.hadamard_test_circuit(lcu.assemble_lcu(plan))
+        doc.update(width=circuit.width, terms=plan.term_count, one_norm=plan.one_norm,
+                   ops=lcu.circuit_json_ops(circuit))
     write_out(json_text(doc), args.out)
     return EXIT_OK
 

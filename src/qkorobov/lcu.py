@@ -18,10 +18,14 @@ Hadamard-test ancilla in front as qubit 0 of the widened circuit.
 
 A plan stores each distinct bound width-1 block once (one per degree and
 argument) and an (M, d) table naming the block on each data qubit of each
-term; the term circuits derive from the two.  F is the Householder
-reflection I - 2 v v^T / (v^T v) with v = F|0> - |0> (Householder, J. ACM 5,
-1958), unitary by construction, so its check is O(2^s): v is finite and F|0>
-has norm 1.  W(u) is checked once per block, when it is bound.
+term; the term circuits derive from the two.  ``plan_from_terms`` builds it
+from the columns of a ``chebyshev_expansion`` record with numpy: it drops
+zero weights, numbers the distinct (k, u) pairs in order of first
+occurrence, and binds each of them once, so nothing runs per term.  F is
+the Householder reflection I - 2 v v^T / (v^T v) with v = F|0> - |0>
+(Householder, J. ACM 5, 1958), unitary by construction, so its check is
+O(2^s): v is finite and F|0> has norm 1.  W(u) is checked once per block,
+when it is bound.
 
 The test unitary exists in two forms:
 
@@ -50,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +73,7 @@ from .simulator import (
     run_circuit,
     shifted,
 )
-from .sparsegrid import ChebyshevTerm, SurplusMap, chebyshev_expansion
+from .sparsegrid import SurplusMap, chebyshev_expansion
 
 
 def ancilla_count(m: int) -> int:
@@ -192,38 +195,35 @@ class LcuPlan:
         return self.table.shape[1]
 
 
-def plan_from_terms(terms: Sequence[ChebyshevTerm], d: int,
+def plan_from_terms(terms: np.ndarray, d: int,
                     include_identity: bool = True) -> LcuPlan | None:
-    """Build the combination plan for signed Chebyshev product terms.
+    """Build the combination plan for a ``chebyshev_expansion`` record.
 
-    Per term, coordinate j gets the degree-k_j polynomial circuit bound at
-    the term's local argument u_j; each distinct (k, u) is bound once, as one
-    block.  Zero-weight terms are dropped; returns None when nothing remains.
+    Zero-weight rows are dropped; returns None when nothing remains.  Row r
+    runs, on data qubit j, the degree-k_j polynomial circuit bound at its
+    argument u_j.  Each distinct (k, u) is bound once, as one block, and the
+    blocks are numbered in order of first occurrence (row by row, qubit by
+    qubit).
     """
-    kept = [t for t in terms if t.weight != 0.0]
-    if not kept:
+    kept = terms[terms["weight"] != 0.0]
+    if not kept.size:
         return None
-    symbolic: dict[int, Circuit] = {}
-    index: dict[tuple, int] = {}  # the 2^d terms of a level share their arguments
-    blocks: list[Circuit] = []
-    table = []
-    for t in kept:
-        if len(t.degrees) != d:
-            raise ValueError("term dimension does not match d")
-        row = []
-        for k, u in zip(t.degrees, t.arguments):
-            if abs(u) > 1.0:
-                raise ValueError(
-                    f"term argument u={u} outside [-1, 1]; support filtering failed"
-                )
-            if (k, u) not in index:
-                if k not in symbolic:
-                    symbolic[k] = qsp.chebyshev_circuit(k, include_identity)
-                index[k, u] = len(blocks)
-                blocks.append(qsp.bind_signal(symbolic[k], u))
-            row.append(index[k, u])
-        table.append(row)
-    return LcuPlan(np.array([t.weight for t in kept]), blocks, table)
+    degrees, arguments = kept["degrees"], kept["arguments"]
+    if degrees.shape[1:] != (d,):
+        raise ValueError("term dimension does not match d")
+    outside = ~(np.abs(arguments) <= 1.0)
+    if outside.any():
+        raise ValueError(f"term argument u={arguments[outside][0]} outside [-1, 1]; "
+                         "support filtering failed")
+    k, u = degrees.reshape(-1), arguments.reshape(-1)
+    # k + iu holds each (k, u) exactly; the sort is stable, so ``first`` is the first occurrence
+    _, first, inverse = np.unique(k + 1j * u, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    table = np.argsort(order)[inverse].reshape(degrees.shape)
+    k, u = k[first[order]].tolist(), u[first[order]].tolist()
+    symbolic = {kj: qsp.chebyshev_circuit(kj, include_identity) for kj in sorted(set(k))}
+    blocks = [qsp.bind_signal(symbolic[kj], uj) for kj, uj in zip(k, u)]
+    return LcuPlan(kept["weight"], blocks, table)
 
 
 def assemble_lcu(plan: LcuPlan) -> Circuit:

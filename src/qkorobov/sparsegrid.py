@@ -38,7 +38,11 @@ gives the cell of the one hat whose support holds x, the hat value
 ``evaluate_grid`` and ``chebyshev_expansion`` read the same per-(axis,
 level) table.  For a point inside the supports, each per-coordinate hat
 splits into Chebyshev polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+
-P1(u), which is what ``chebyshev_expansion`` emits for the circuit pipeline.
+P1(u).  ``chebyshev_expansion`` emits these terms for the circuit pipeline
+as one read-only ``numpy.recarray`` with the columns ``weight``,
+``degrees`` and ``arguments``: one gather of a surplus per supporting
+level, the sign rule applied as an array operation, and no Python object
+per term.
 """
 
 from __future__ import annotations
@@ -469,55 +473,41 @@ def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
     return SurplusMap(d, n, arrays)
 
 
-@dataclass(frozen=True)
-class ChebyshevTerm:
-    """One signed product term weight * prod_j P_{k_j}(u_j) of the expansion.
-
-    ``arguments`` are the rescaled local coordinates u_j = (x_j - node_j) /
-    spacing_j, each in (-1, 1); ``weight`` is the surplus with the sign rule
-    (-1)^{sum_j k_j (sgn(u_j)+1)/2} applied (sgn(0) := +1, which is value-
-    irrelevant because P_1(0) = 0).
-    """
-
-    weight: float
-    degrees: tuple[int, ...]
-    arguments: tuple[float, ...]
-    source: GridIndex
-
-
-def chebyshev_expansion(s: SurplusMap, x) -> list[ChebyshevTerm]:
+def chebyshev_expansion(s: SurplusMap, x) -> np.recarray:
     """Signed degree-(0,1) Chebyshev product terms reproducing s at ``x``.
 
-    Summing weight * prod_j T_{k_j}(u_j) over the result equals
-    ``s.evaluate(x)``; only levels whose support contains x contribute, each
-    with 2^d terms.
+    One read-only record of M rows, row r standing for the term
+    weight_r * prod_j T_{k_j}(u_j), with the fields ``weight`` (float64),
+    ``degrees`` (int8, shape (d,)) and ``arguments`` (float64, shape (d,)).
+    Only levels whose support holds x contribute, in ``s.levels()`` order,
+    each with 2^d rows in ``itertools.product((0, 1), repeat=d)`` degree
+    order.  ``arguments`` are the level's local coordinates u_j = (x_j -
+    node_j) / spacing_j, each in (-1, 1), and ``weight`` is the surplus with
+    the sign rule (-1)^{sum_j k_j (sgn(u_j)+1)/2} applied (sgn(0) := +1,
+    which is value-irrelevant because P_1(0) = 0).  Summing the terms gives
+    ``s.evaluate(x)``; a point that no level's support holds (a boundary
+    point) gives M = 0 rows.
     """
     x = _point(x, s.d)
-    table = [
-        [(int(cell[0]), float(u[0]), bool(hat_j[0] > 0.0)) for cell, hat_j, u in axis]
-        for axis in _cell_table(x[:, None], s.n)
-    ]
-    terms: list[ChebyshevTerm] = []
-    for level in s.levels():
-        picks = [table[j][l - 1] for j, l in enumerate(level)]
-        # x on a grid line of the level (boundary included): every hat is 0
-        if not all(inside for _, _, inside in picks):
-            continue
-        cell = tuple(c for c, _, _ in picks)
-        v = s._level_arrays[level][cell].item()
-        u = tuple(uj for _, uj, _ in picks)
-        g = GridIndex._trusted(level, tuple(2 * c + 1 for c in cell))
-        positive = [uj >= 0.0 for uj in u]  # sgn(0) := +1
-        for k in itertools.product((0, 1), repeat=s.d):
-            flips = sum(kj for kj, pos in zip(k, positive) if pos)
-            terms.append(
-                ChebyshevTerm(
-                    weight=(-1.0) ** flips * v,
-                    degrees=k,
-                    arguments=u,
-                    source=g,
-                )
-            )
+    d = s.d
+    # (d, n) tables of cell, hat and u: entry [j, l - 1] is level l on axis j
+    cell, hat_value, u = _axis_cells(x[:, None], np.arange(1, s.n + 1))
+    axes = np.arange(d)
+    levels = np.array(s.levels()) - 1
+    # x on a grid line of a level (boundary included): some hat of it is 0
+    inside = (hat_value[axes, levels] > 0.0).all(axis=1)
+    cells = cell[axes, levels[inside]].tolist()
+    values = np.array([s._level_arrays[level][tuple(c)] for level, c in
+                       zip(itertools.compress(s.levels(), inside), cells)], dtype=float)
+    arguments = u[axes, levels[inside]]
+    degrees = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int8)
+    flips = (degrees[None, :, :] * (arguments >= 0.0)[:, None, :]).sum(axis=2)
+    terms = np.recarray(values.size * 2 ** d, dtype=[
+        ("weight", float), ("degrees", np.int8, (d,)), ("arguments", float, (d,))])
+    terms["weight"] = np.where(flips % 2, -values[:, None], values[:, None]).reshape(-1)
+    terms["degrees"] = np.tile(degrees, (values.size, 1))
+    terms["arguments"] = np.repeat(arguments, 2 ** d, axis=0)
+    terms.flags.writeable = False
     return terms
 
 

@@ -61,6 +61,8 @@ CASES = [
                        "--x", "0.3,0.6,0.7"], True),
     ("circuit-readme", ["circuit", "--fn", "prod-quad", "--d", "1", "--n", "2",
                         "--x", "0.3"], False),
+    ("circuit-unsupported", ["circuit", "--fn", "prod-quad", "--d", "2", "--n", "2",
+                             "--x", "0,0.3"], False),
 ]
 
 

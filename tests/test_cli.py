@@ -289,13 +289,23 @@ class TestCircuitTrace:
         assert len(op["matrix"]) in (4, 16)
 
     def test_trace_on_unsupported_point(self, tmp_path):
+        # x_1 = 0 is on the boundary: no level supports the point, so no term exists
         code, data = run_cli(
-            ["circuit", "--fn", "prod-quad", "--d", "1", "--n", "2", "--x", "0.5"],
+            ["circuit", "--fn", "prod-quad", "--d", "2", "--n", "2", "--x", "0,0.3"],
             tmp_path, "trace0.json",
         )
         assert code == 0
-        # x = 0.5 still sits inside the level-1 hat, so terms exist
-        assert json.loads(data)["terms"] >= 1
+        doc = json.loads(data)
+        assert doc == {"function": "prod-quad", "d": 2, "n": 2, "x": [0.0, 0.3],
+                       "width": 0, "terms": 0, "one_norm": 0.0, "ops": []}
+        code, data = run_cli(
+            ["circuit", "--fn", "prod-quad", "--d", "2", "--n", "2", "--x", "0.5,0.3"],
+            tmp_path, "trace1.json",
+        )
+        assert code == 0
+        # x = (0.5, 0.3) still sits inside the level-(1, 1) hat, so terms exist
+        supported = json.loads(data)
+        assert list(supported) == list(doc) and supported["terms"] >= 1
 
     def test_more_than_one_point_is_config_error(self, tmp_path, capsys):
         code, data = run_cli(

@@ -42,6 +42,17 @@ PROD_QUAD_1 = lambda X: X[:, 0] * (1 - X[:, 0])
 PROD_QUAD_2 = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1])
 
 
+def term_record(weights, degrees, arguments):
+    """A read-only term record like ``chebyshev_expansion``'s, from plain columns."""
+    degrees = np.asarray(degrees).reshape(len(weights), -1)
+    d = degrees.shape[1]
+    terms = np.recarray(len(weights), dtype=[
+        ("weight", float), ("degrees", np.int8, (d,)), ("arguments", float, (d,))])
+    terms["weight"], terms["degrees"], terms["arguments"] = weights, degrees, arguments
+    terms.flags.writeable = False
+    return terms
+
+
 def identity_plan(weights):
     # one block, the identity gate, on the one data qubit of every term
     table = np.zeros((len(weights), 1), dtype=int)
@@ -189,7 +200,8 @@ class TestAssemble:
         original = qsp.bind_signal
         monkeypatch.setattr(qsp, "bind_signal", lambda c, x: calls.append(x) or original(c, x))
         smap = surplus_coefficients(PROD_QUAD_2, 3, 2)
-        terms = [t for t in chebyshev_expansion(smap, np.array([0.3, 0.45])) if t.weight]
+        terms = chebyshev_expansion(smap, np.array([0.3, 0.45]))
+        terms = terms[terms.weight != 0.0]
         plan = plan_from_terms(terms, 2)
         distinct = {(k, u) for t in terms for k, u in zip(t.degrees, t.arguments)}
         assert plan.term_count == len(terms)
@@ -386,31 +398,24 @@ class TestEvaluateViaCircuit:
         assert report.width == 3 + 12 + 1
 
     def test_rejects_bad_term_argument(self):
-        from qkorobov.sparsegrid import ChebyshevTerm, GridIndex
-
-        bad = ChebyshevTerm(
-            weight=1.0, degrees=(1,), arguments=(1.5,), source=GridIndex((1,), (1,))
-        )
+        bad = term_record([1.0], [[1]], [[1.5]])
         with pytest.raises(ValueError, match="support"):
-            plan_from_terms([bad], 1)
+            plan_from_terms(bad, 1)
+        with pytest.raises(ValueError, match=r"u=nan outside \[-1, 1\]"):
+            plan_from_terms(term_record([1.0, 2.0], [[0], [1]], [[0.5], [np.nan]]), 1)
 
 
 class TestSyntheticCombinations:
     def test_random_term_data_matches_arithmetic(self):
         # fully synthetic plans: the expected readout is plain arithmetic
-        from qkorobov.sparsegrid import ChebyshevTerm, GridIndex
-
         rng = np.random.default_rng(424242)
-        dummy = GridIndex((1,), (1,))
         for _ in range(30):
             d = int(rng.integers(1, 4))
             m = int(rng.integers(1, 10))
-            terms = []
-            for _ in range(m):
-                degrees = tuple(int(k) for k in rng.integers(0, 2, size=d))
-                args = tuple(float(u) for u in rng.uniform(-1, 1, size=d))
-                weight = float(rng.uniform(0.05, 2.0) * rng.choice([-1.0, 1.0]))
-                terms.append(ChebyshevTerm(weight, degrees, args, dummy))
+            degrees = rng.integers(0, 2, size=(m, d))
+            args = rng.uniform(-1, 1, size=(m, d))
+            weights = rng.uniform(0.05, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+            terms = term_record(weights, degrees, args)
             expected = sum(
                 t.weight * np.prod([u ** k for u, k in zip(t.arguments, t.degrees)])
                 for t in terms
@@ -419,6 +424,63 @@ class TestSyntheticCombinations:
             target = assemble_lcu(plan)
             got = plan.one_norm * hadamard_test(target)
             assert got == pytest.approx(expected, abs=1e-10)
+
+
+class TestTermRecord:
+    """The record ``chebyshev_expansion`` returns and ``plan_from_terms`` reads."""
+
+    def test_read_only(self):
+        smap = surplus_coefficients(PROD_QUAD_2, 3, 2)
+        terms = chebyshev_expansion(smap, np.array([0.3, 0.45]))
+        assert len(terms) == 4 * 6 and not terms.flags.writeable
+        for write in (lambda: terms.weight.__setitem__(0, 1.0),
+                      lambda: terms["degrees"].__setitem__((0, 0), 1),
+                      lambda: terms.arguments.__setitem__((0, 1), 0.0),
+                      lambda: terms.__setitem__(0, terms[1])):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_boundary_and_grid_line_points(self, d):
+        smap = surplus_coefficients(corpus_function("prod-quad", d).f, 4, d)
+        for side in (0.0, 1.0):
+            x = generic_point(d)
+            x[-1] = side
+            terms = chebyshev_expansion(smap, x)
+            assert len(terms) == 0
+            assert terms.degrees.shape == terms.arguments.shape == (0, d)
+            assert plan_from_terms(terms, d) is None
+        # 0.5 is on a grid line of every level above 1: only l_0 = 1 supports it
+        x = generic_point(d)
+        x[0] = 0.5
+        terms = chebyshev_expansion(smap, x)
+        supported = [level for level in smap.levels() if level[0] == 1]
+        assert len(terms) == 2 ** d * len(supported)
+        assert terms.degrees.shape == terms.arguments.shape == (len(terms), d)
+
+    def test_all_zero_weights_plan_to_none(self):
+        smap = surplus_coefficients(lambda X: np.zeros(len(X)), 3, 2)
+        terms = chebyshev_expansion(smap, np.array([0.3, 0.45]))
+        assert len(terms) > 0 and not terms.weight.any()
+        assert plan_from_terms(terms, 2) is None
+        assert plan_from_terms(term_record([0.0, -0.0], [[1], [0]], [[0.2], [0.2]]), 1) is None
+
+    def test_dimension_must_match_d(self):
+        terms = term_record([1.0, -0.5], [[1, 0], [0, 1]], [[0.2, -0.3], [0.2, 0.4]])
+        assert plan_from_terms(terms, 2).table.shape == (2, 2)
+        for d in (1, 3):
+            with pytest.raises(ValueError, match="term dimension does not match d"):
+                plan_from_terms(terms, d)
+
+    def test_blocks_numbered_by_first_occurrence(self):
+        terms = term_record([1.0, 2.0, -1.0, 0.0], [[1, 0], [0, 1], [1, 1], [1, 1]],
+                            [[0.5, -0.25], [0.5, 0.5], [0.5, 0.5], [0.9, 0.9]])
+        plan = plan_from_terms(terms, 2, include_identity=False)
+        # (1, .5), (0, -.25), (0, .5), then (1, .5) on any qubit is block 0 again;
+        # the zero-weight row is dropped before numbering
+        np.testing.assert_array_equal(plan.table, [[0, 1], [2, 0], [0, 0]])
+        np.testing.assert_array_equal(plan.weights, [1.0, 2.0, -1.0])
+        assert [len(b.ops) for b in plan.blocks] == [1, 0, 0]
 
 
 class TestGateAccounting:
@@ -431,7 +493,7 @@ class TestGateAccounting:
             terms = chebyshev_expansion(smap, x)
             plan = plan_from_terms(terms, d)
             m = plan.term_count
-            degree_norm = sum(sum(t.degrees) for t in terms)
+            degree_norm = int(terms.degrees.sum())  # numpy sums int8 in the platform int
             circuit = assemble_lcu(plan)
             expected = 2 * degree_norm + d * m + (2 if plan.ancilla_count else 0)
             assert len(circuit.ops) == expected

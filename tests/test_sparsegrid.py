@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkorobov.analysis import corpus, corpus_function
+from qkorobov.analysis import corpus, corpus_function, separable_function
 from qkorobov.lcu import evaluate_via_circuit
 from qkorobov.sparsegrid import (
     BATCH_ROWS,
     _axis_cells,
-    ChebyshevTerm,
     GridIndex,
     SurplusMap,
     chebyshev_expansion,
@@ -135,7 +134,11 @@ def reference_evaluate(s, x):
 
 
 def reference_chebyshev_expansion(s, x):
-    """The signed Chebyshev terms at ``x`` by a scalar loop over levels."""
+    """The signed Chebyshev terms at ``x`` by a scalar loop over levels.
+
+    One (weight, degrees, arguments) tuple per term, in the row order of
+    ``chebyshev_expansion``.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     terms = []
     for level in s.levels():
@@ -147,7 +150,7 @@ def reference_chebyshev_expansion(s, x):
         positive = [uj >= 0.0 for uj in u]  # sgn(0) := +1
         for k in itertools.product((0, 1), repeat=s.d):
             flips = sum(kj for kj, pos in zip(k, positive) if pos)
-            terms.append(ChebyshevTerm((-1.0) ** flips * v, k, u, g))
+            terms.append(((-1.0) ** flips * v, k, u))
     return terms
 
 
@@ -484,10 +487,21 @@ def sin_product(X):
     return np.prod(np.sin(np.pi * X), axis=1)
 
 
+def aniso(d):
+    """A different factor on each axis: no permutation of the axes leaves it unchanged."""
+    return separable_function("aniso", ["x(1-x)", "sin(pi x)", "x^2(1-x)"][:d])
+
+
+KINDS = {
+    "quad": lambda d: corpus_function("prod-quad", d).f,
+    "sin": lambda d: sin_product,
+    "aniso": lambda d: aniso(d).f,
+}
+
+
 @functools.lru_cache(maxsize=None)
 def corpus_map(kind, n, d):
-    f = corpus_function("prod-quad", d).f if kind == "quad" else sin_product
-    return surplus_coefficients(f, n, d)
+    return surplus_coefficients(KINDS[kind](d), n, d)
 
 
 def coeff_scale(s):
@@ -529,7 +543,7 @@ def coordinates(n):
 
 def agreement_cases(d_max, n_max):
     return st.tuples(
-        st.sampled_from(["quad", "sin"]), st.integers(1, d_max), st.integers(1, n_max),
+        st.sampled_from(sorted(KINDS)), st.integers(1, d_max), st.integers(1, n_max),
     ).flatmap(lambda c: st.tuples(
         st.just(c),
         st.lists(st.lists(coordinates(c[2]), min_size=c[1], max_size=c[1]),
@@ -571,6 +585,17 @@ class TestEvaluatorsAgree:
         for x in np.array(points):
             value, _ = evaluate_via_circuit(s, x)
             assert abs(value - s.evaluate(x)) <= 1e-12 * max(1.0, coeff_scale(s))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_circuit_anisotropic(self, d):
+        # interior points of a map with a different factor per axis, where
+        # an axis-order slip anywhere from point to plan moves the value
+        rng = np.random.default_rng(d)
+        for n in range(1, 6):
+            s = corpus_map("aniso", n, d)
+            for x in rng.random((4, d)):
+                value, _ = evaluate_via_circuit(s, x)
+                assert abs(value - s.evaluate(x)) <= 1e-12 * max(1.0, coeff_scale(s))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 2), st.integers(0, 1), coordinates(3), OUT_OF_DOMAIN)
@@ -695,20 +720,22 @@ class TestOneLocationKernel:
             np.testing.assert_array_equal(np.signbit(scalar), np.signbit(batch))
             assert exact(scalar) == exact(reference_evaluate(s, x) for x in pts)
 
-    @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
+    @pytest.mark.parametrize("fn", SMALL_CORPUS + [aniso(2), aniso(3)],
+                             ids=lambda fn: f"{fn.name}-d{fn.d}")
     def test_expansion_equals_scalar_loop(self, fn):
         for n in range(1, 6):
             s = surplus_coefficients(fn.f, n, fn.d)
             for x in corpus_probe(n, fn.d, seed=10 + n):
                 got = chebyshev_expansion(s, x)
                 want = reference_chebyshev_expansion(s, x)
+                assert got.dtype.fields["weight"][0] == np.float64
+                assert got.dtype.fields["degrees"][0] == np.dtype((np.int8, (fn.d,)))
+                assert got.dtype.fields["arguments"][0] == np.dtype((np.float64, (fn.d,)))
                 assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert type(a.weight) is float
-                    assert all(type(u) is float for u in a.arguments)
-                    assert exact([a.weight]) == exact([b.weight])
-                    assert exact(a.arguments) == exact(b.arguments)
-                    assert a.degrees == b.degrees and a.source == b.source
+                for a, (weight, degrees, arguments) in zip(got, want):
+                    assert exact([a.weight]) == exact([weight])
+                    assert exact(a.arguments) == exact(arguments)
+                    assert tuple(a.degrees.tolist()) == degrees
 
 
 class TestChebyshevExpansion:
@@ -716,7 +743,8 @@ class TestChebyshevExpansion:
         s = surplus_coefficients(PROD_QUAD_1, 1, 1)
         v = s[GridIndex((1,), (1,))]
         terms = chebyshev_expansion(s, [0.3])  # u = -0.4 < 0
-        assert sorted((t.degrees, t.weight) for t in terms) == [((0,), v), ((1,), v)]
+        assert sorted(zip(map(tuple, terms.degrees.tolist()), terms.weight.tolist())) == [
+            ((0,), v), ((1,), v)]
         total = sum(t.weight * np.prod([u ** k for u, k in zip(t.arguments, t.degrees)])
                     for t in terms)
         assert total == pytest.approx(0.6 * v, abs=1e-15)
@@ -725,7 +753,8 @@ class TestChebyshevExpansion:
         s = surplus_coefficients(PROD_QUAD_1, 1, 1)
         v = s[GridIndex((1,), (1,))]
         terms = chebyshev_expansion(s, [0.7])  # u = +0.4 > 0
-        assert sorted((t.degrees, t.weight) for t in terms) == [((0,), v), ((1,), -v)]
+        assert sorted(zip(map(tuple, terms.degrees.tolist()), terms.weight.tolist())) == [
+            ((0,), v), ((1,), -v)]
 
     def test_node_point_sign_convention_irrelevant(self):
         s = surplus_coefficients(PROD_QUAD_1, 2, 1)
