@@ -14,6 +14,7 @@ from .simulator import (
 )
 from .qsp import (
     bind_signal,
+    chebyshev_blocks,
     chebyshev_circuit,
     chebyshev_first_kind,
     chebyshev_second_kind,

@@ -16,28 +16,35 @@ Register layout: data qubits 0..d-1 (coordinate j of the interpolation point
 drives qubit j), selector ancillas d..d+s-1 with s = ceil(log2 M), and the
 Hadamard-test ancilla in front as qubit 0 of the widened circuit.
 
-A plan stores each distinct bound width-1 block once (one per degree and
-argument) and an (M, d) table naming the block on each data qubit of each
-term; the term circuits derive from the two.  ``plan_from_terms`` builds it
-from the columns of a ``chebyshev_expansion`` record with numpy: it drops
-zero weights, numbers the distinct (k, u) pairs in order of first
-occurrence, and binds each of them once, so nothing runs per term.  F is
-the Householder reflection I - 2 v v^T / (v^T v) with v = F|0> - |0>
+A plan holds its width-1 blocks as data, not as circuits: one read-only
+(B, L, 2, 2) array of single-qubit gate matrices, block by block in circuit
+order and padded with identities to the longest length L, the (B,) gate
+counts, and an (M, d) table naming the block on each data qubit of each
+term.  ``plan_from_terms`` builds it from the columns of a
+``chebyshev_expansion`` record with numpy: it drops zero weights, numbers
+the distinct (k, u) pairs in order of first occurrence, and has
+``qsp.chebyshev_blocks`` build all their gates at once, so nothing runs per
+term or per block.  The plan checks every 2x2 unitary once, in one
+vectorised pass of the closed-form rule ``simulator.unitarity_errors``, so a
+hand-built plan with a non-unitary block is refused too.  F is the
+Householder reflection I - 2 v v^T / (v^T v) with v = F|0> - |0>
 (Householder, J. ACM 5, 1958), unitary by construction, so its check is
-O(2^s): v is finite and F|0> has norm 1.  W(u) is checked once per block,
-when it is bound.
+O(2^s): v is finite and F|0> has norm 1.
 
 The test unitary exists in two forms:
 
 * ``run_hadamard_test`` runs it on a structured statevector of shape (2^s
   selector, 2 per data qubit from q_{d-1} to q_0, 2 test), the little-endian
   layout once flattened.  On the test = 1 branch it applies F as the
-  reflection, one batched einsum per data qubit over the (d, 2^s, 2, 2)
-  select stack (block products, the identity on padding slots, the sign in
-  the qubit-0 factor), then F^dag = F.  It builds no gate per term and no
-  dense F; ``hadamard_test_report`` counts its gates from the plan.
-  ``evaluate_via_circuit`` uses these two.  The state holds 2^(d+s+1)
-  amplitudes, so ``simulator.check_dense`` refuses it above
+  reflection, then the (d, 2^s, 2, 2) select stack (block products, the
+  identity on padding slots, the sign in the qubit-0 factor), then F^dag =
+  F.  The block products take L batched 2x2 steps over all blocks; each data
+  qubit's select factor is two broadcast multiply-adds over the (2^s,
+  2^(d-1-q), 2, 2^q) view of the branch; the Hadamard wrap is one
+  (2^(s+d), 2) @ (2, 2) product.  It builds no ``Gate`` or ``Circuit`` and
+  no dense F; ``hadamard_test_report`` counts its gates from the plan's
+  gate counts.  ``evaluate_via_circuit`` uses these two.  The state holds
+  2^(d+s+1) amplitudes, so ``simulator.check_dense`` refuses it above
   2^MAX_DENSE_WIDTH, as it does every dense array.
 * ``assemble_lcu`` spells the select out gate by gate: every single-qubit
   gate of every term circuit becomes one ``Gate`` whose controls are the
@@ -46,7 +53,9 @@ The test unitary exists in two forms:
   same rule refuses above 2^MAX_DENSE_WIDTH entries.  Wrapped by
   ``hadamard_test_circuit``, it is what the ``circuit`` trace writes, and
   ``run_circuit`` on it is the reference the structured run is tested
-  against.  Its derived gates reuse the checked read-only matrices.
+  against.  ``term_circuits`` and ``assemble_lcu`` are the only places that
+  turn block rows into gates; those gates reuse the plan's checked
+  read-only matrices.
 """
 
 from __future__ import annotations
@@ -67,11 +76,11 @@ from .simulator import (
     ResourceReport,
     Statevector,
     check_dense,
-    circuit_unitary,
     controlled,
     expectation_z_first,
     run_circuit,
     shifted,
+    unitarity_errors,
 )
 from .sparsegrid import SurplusMap, chebyshev_expansion
 
@@ -125,35 +134,49 @@ def prepare_state_unitary(coefficients) -> np.ndarray:
 class LcuPlan:
     """Everything needed to run or assemble one combination circuit.
 
-    ``weights`` are the signed term weights a_j (finite, non-zero, read-only),
-    ``blocks`` the distinct width-1 circuits of single-qubit gates, and
-    ``table`` the read-only (M, d) block indices: term j runs
-    ``blocks[table[j, q]]`` on data qubit q.  The rest derives from these:
-    the ``term_circuits``, the positive magnitudes ``coefficients``, the +-1
+    ``weights`` are the signed term weights a_j (finite, non-zero),
+    ``blocks`` the (B, L, 2, 2) gate matrices of the distinct width-1 blocks,
+    each in circuit order and padded with identities to length L,
+    ``gate_counts`` the (B,) number of gates of each block, and ``table``
+    the (M, d) block indices: term j runs block ``table[j, q]`` on data qubit
+    q.  All four are read-only copies.  The rest derives from these: the
+    ``term_circuits``, the positive magnitudes ``coefficients``, the +-1
     ``term_signs``, ``one_norm`` = ||a||_1 and the ``ancilla_count`` of
     selector qubits.
     """
 
     weights: np.ndarray
-    blocks: tuple[Circuit, ...]
+    blocks: np.ndarray
+    gate_counts: np.ndarray
     table: np.ndarray
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float).reshape(-1)  # own copies, frozen
+        blocks = np.array(self.blocks, dtype=complex)
+        counts = np.array(self.gate_counts)
         table = np.array(self.table)
-        weights.flags.writeable = table.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "table", table)
+        for name, value in (("weights", weights), ("blocks", blocks),
+                            ("gate_counts", counts), ("table", table)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if weights.size == 0:
             raise ValueError("a plan needs at least one term")
-        if not np.all(np.isfinite(weights) & (weights != 0.0)):
+        if not (np.isfinite(weights) & (weights != 0.0)).all():
             raise ValueError("plan weights must be finite and non-zero")
         if table.ndim != 2 or table.shape[0] != weights.size:
             raise ValueError("weights and table rows must align")
-        if not table.shape[1] or any(b.width != 1 for b in self.blocks):
-            raise ValueError("blocks must be width-1 circuits on a data width >= 1")
-        if table.dtype.kind not in "iu" or not np.all((table >= 0) & (table < len(self.blocks))):
+        if not table.shape[1] or blocks.ndim != 4 or blocks.shape[2:] != (2, 2):
+            raise ValueError("blocks must be a (B, L, 2, 2) array of width-1 gates "
+                             "on a data width >= 1")
+        if (counts.shape != blocks.shape[:1] or counts.dtype.kind not in "iu"
+                or not ((counts >= 0) & (counts <= blocks.shape[1])).all()):
+            raise ValueError("gate_counts must give each block's length, at most L")
+        if not (blocks[np.arange(blocks.shape[1]) >= counts[:, None]] == IDENTITY_2).all():
+            raise ValueError("blocks must be padded with identity gates")
+        err = unitarity_errors(blocks).max(initial=0.0)
+        if not err <= UNITARY_ATOL:
+            raise ValueError(f"block gate is not unitary: max |U^dag U - I| = {err:.3e}")
+        if table.dtype.kind not in "iu" or not (table.min() >= 0 and table.max() < len(blocks)):
             raise ValueError("table entries must index the blocks")
 
     @cached_property
@@ -165,7 +188,8 @@ class LcuPlan:
             ops: list[Gate] = []
             for q, b in enumerate(row):
                 if (q, b) not in placed:
-                    placed[q, b] = tuple(shifted(op, q) for op in self.blocks[b].ops)
+                    gates = self.blocks[b, :self.gate_counts[b]]
+                    placed[q, b] = tuple(Gate._trusted(m, (q,)) for m in gates)
                 ops += placed[q, b]
             circuits.append(Circuit(self.data_width, ops))
         return tuple(circuits)
@@ -200,12 +224,13 @@ def plan_from_terms(terms: np.ndarray, d: int,
     """Build the combination plan for a ``chebyshev_expansion`` record.
 
     Zero-weight rows are dropped; returns None when nothing remains.  Row r
-    runs, on data qubit j, the degree-k_j polynomial circuit bound at its
-    argument u_j.  Each distinct (k, u) is bound once, as one block, and the
-    blocks are numbered in order of first occurrence (row by row, qubit by
-    qubit).
+    runs, on data qubit j, the degree-k_j polynomial block at its argument
+    u_j.  Each distinct (k, u) becomes one block, the blocks are numbered in
+    order of first occurrence (row by row, qubit by qubit), and
+    ``qsp.chebyshev_blocks`` builds all of them in one call.
     """
-    kept = terms[terms["weight"] != 0.0]
+    rows = np.asarray(terms)  # a plain ndarray view: masking a recarray is slower
+    kept = rows[rows["weight"] != 0.0]
     if not kept.size:
         return None
     degrees, arguments = kept["degrees"], kept["arguments"]
@@ -216,14 +241,18 @@ def plan_from_terms(terms: np.ndarray, d: int,
         raise ValueError(f"term argument u={arguments[outside][0]} outside [-1, 1]; "
                          "support filtering failed")
     k, u = degrees.reshape(-1), arguments.reshape(-1)
-    # k + iu holds each (k, u) exactly; the sort is stable, so ``first`` is the first occurrence
-    _, first, inverse = np.unique(k + 1j * u, return_index=True, return_inverse=True)
+    # the sort is stable, so equal pairs (-0.0 == 0.0) sit together, earliest first
+    perm = np.lexsort((u, k))
+    ks, us = k[perm], u[perm]
+    new = np.ones(perm.size, dtype=bool)
+    new[1:] = (ks[1:] != ks[:-1]) | (us[1:] != us[:-1])
+    first = perm[new]  # the first occurrence of each distinct pair, in sorted order
     order = np.argsort(first)
-    table = np.argsort(order)[inverse].reshape(degrees.shape)
-    k, u = k[first[order]].tolist(), u[first[order]].tolist()
-    symbolic = {kj: qsp.chebyshev_circuit(kj, include_identity) for kj in sorted(set(k))}
-    blocks = [qsp.bind_signal(symbolic[kj], uj) for kj, uj in zip(k, u)]
-    return LcuPlan(kept["weight"], blocks, table)
+    table = np.empty_like(perm)
+    table[perm] = np.argsort(order)[np.cumsum(new) - 1]
+    table = table.reshape(degrees.shape)
+    blocks, counts = qsp.chebyshev_blocks(k[first[order]], u[first[order]], include_identity)
+    return LcuPlan(kept["weight"], blocks, counts, table)
 
 
 def assemble_lcu(plan: LcuPlan) -> Circuit:
@@ -277,9 +306,15 @@ def _select_stack(plan: LcuPlan) -> np.ndarray:
     """(d, 2^s, 2, 2): the factor on data qubit q for selector value j.
 
     Padding slots j >= M hold the identity; the sign of term j rides on its
-    qubit-0 factor.
+    qubit-0 factor.  The block products start from the identity and take
+    one batched 2x2 step per gate slot for all blocks at once, entry by
+    entry as ``circuit_unitary`` multiplies a width-1 circuit out.
     """
-    products = np.array([circuit_unitary(block) for block in plan.blocks])
+    blocks = plan.blocks
+    products = np.broadcast_to(IDENTITY_2, (len(blocks), 2, 2))
+    for i in range(blocks.shape[1]):  # gate i @ products
+        g = blocks[:, i]
+        products = g[:, :, :1] * products[:, None, 0] + g[:, :, 1:] * products[:, None, 1]
     m = plan.term_count
     stack = np.empty((plan.data_width, 2 ** plan.ancilla_count, 2, 2), dtype=complex)
     stack[:, :m] = products[plan.table.T]
@@ -307,10 +342,13 @@ def run_hadamard_test(plan: LcuPlan) -> Statevector:
     amps[0, 0] = HADAMARD[:, 0]  # H on the test qubit
     branch = reflect(amps[:, :, 1])  # F, select and F^dag act where the test qubit is 1
     for q in range(d):
+        # out[j, l, a, r] = S[j, a, 0] t[j, l, 0, r] + S[j, a, 1] t[j, l, 1, r]
         t = branch.reshape(2 ** s, 2 ** (d - 1 - q), 2, 2 ** q)
-        branch = np.einsum("jab,jlbr->jlar", stack[q], t).reshape(2 ** s, 2 ** d)
+        factor = stack[q][:, None, :, :, None]
+        branch = (factor[..., 0, :] * t[:, :, :1] + factor[..., 1, :] * t[:, :, 1:]
+                  ).reshape(2 ** s, 2 ** d)
     amps[:, :, 1] = reflect(branch)
-    return Statevector((amps @ HADAMARD.T).reshape(-1), width)
+    return Statevector((amps.reshape(-1, 2) @ HADAMARD.T).reshape(-1), width)
 
 
 def hadamard_test_report(plan: LcuPlan) -> ResourceReport:
@@ -322,9 +360,8 @@ def hadamard_test_report(plan: LcuPlan) -> ResourceReport:
     multi_depth = G + 2[s>0].
     """
     s = plan.ancilla_count
-    sizes = np.array([len(block.ops) for block in plan.blocks])
     # a gate-free negative term still gets one gate, which carries its sign
-    g = int(np.maximum(sizes[plan.table].sum(axis=1), plan.weights < 0).sum())
+    g = int(np.maximum(plan.gate_counts[plan.table].sum(axis=1), plan.weights < 0).sum())
     wrap = 2 if s else 0
     serial = 2 + wrap + g * (1 + s)
     return ResourceReport(width=plan.data_width + s + 1, gate_count=serial,

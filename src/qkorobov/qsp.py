@@ -12,11 +12,19 @@ Chebyshev polynomials:
     W(x)^r = [[T_r(x), i*sqrt(1-x^2)*U_{r-1}(x)],
               [i*sqrt(1-x^2)*U_{r-1}(x), T_r(x)]]      (U_{-1} := 0).
 
-``chebyshev_circuit`` builds this zero-phase instance as a symbolic width-1
-circuit (x is bound later with ``bind_signal``); finding phases for other
-target polynomials is out of scope.  ``bind_signal`` checks W(x) once per
-placeholder gate (``chebyshev_circuit`` shares one) and builds the bound
-circuit with the ordinary ``Circuit`` check.
+The zero-phase instance comes in two forms; finding phases for other
+target polynomials is out of scope.
+
+* ``chebyshev_circuit`` builds the symbolic width-1 circuit, and
+  ``bind_signal`` substitutes ``signal_encoding``'s W(x) for its one shared
+  placeholder gate, with the ordinary ``Gate`` and ``Circuit`` checks.
+  This is the reference form.
+* ``chebyshev_blocks`` is the form the LCU plan runs: for columns of degrees
+  k and arguments u it returns one (B, L, 2, 2) array of gate matrices, each
+  block padded with identities to the longest length L, and the (B,) gate
+  counts.  It applies ``signal_encoding``'s range check and clamp to the
+  whole column and builds no ``Gate`` or ``Circuit``; its matrices are
+  those of the reference form byte for byte, signed zeros included.
 """
 
 from __future__ import annotations
@@ -80,6 +88,39 @@ def chebyshev_circuit(r: int, include_identity: bool = True) -> Circuit:
     if include_identity:
         return Circuit(1, [phase] + [signal, phase] * r)
     return Circuit(1, [signal] * r)
+
+
+def chebyshev_blocks(degrees, arguments, include_identity: bool = True
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``bind_signal(chebyshev_circuit(k, include_identity), u)`` per (k, u) pair, as arrays.
+
+    Returns the read-only (B, L, 2, 2) gate matrices of the B blocks, slot
+    by slot in circuit order and padded with identities to the longest
+    length L, and the (B,) gate counts (2k + 1, or k without identities).
+    """
+    k = np.asarray(degrees, dtype=np.intp).reshape(-1)
+    x = np.asarray(arguments, dtype=float).reshape(-1)
+    if k.size != x.size:
+        raise ValueError("need one degree per argument")
+    if (k < 0).any():
+        raise ValueError("degree must be non-negative")
+    inside = np.abs(x) <= 1.0 + 1e-12  # signal_encoding's rule, on the whole column
+    if not inside.all():
+        raise ValueError(f"signal value {float(x[~inside][0])} outside [-1, 1]")
+    x = np.minimum(np.maximum(x, -1.0), 1.0)  # keeps -0.0
+    w = np.zeros((x.size, 2, 2), dtype=complex)  # W(x) entry by entry, as signal_encoding has it
+    w.real[:, 0, 0] = w.real[:, 1, 1] = x
+    w.imag[:, 0, 1] = w.imag[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    counts = 2 * k + 1 if include_identity else k
+    slot = np.arange(counts.max(initial=0))
+    signal = slot < (2 * k if include_identity else k)[:, None]
+    if include_identity:  # phase, signal, phase, ..., signal, phase
+        signal &= slot % 2 == 1
+    gates = np.empty((k.size, slot.size, 2, 2), dtype=complex)
+    gates[...] = IDENTITY_2
+    gates[signal] = w[np.nonzero(signal)[0]]
+    gates.flags.writeable = False
+    return gates, counts
 
 
 def bind_signal(circuit: Circuit, x: float) -> Circuit:

@@ -12,10 +12,13 @@ Conventions used throughout the package:
   sequence of gates, one per branch, whose controls are the selector and
   whose control values are the bits of the branch index.
 * Matrices are validated once, where they enter: the public ``Gate``
-  constructor checks unitarity and freezes its own copy.  Gates derived from
-  a checked gate (``shifted``, ``controlled``, a +-1 sign, an adjoint)
-  reuse that read-only matrix without a second dense check; the role and
-  width checks still run where they can fail.
+  constructor checks unitarity and freezes its own copy.  A 2x2 is checked
+  by ``unitarity_errors``, the entries of U^dag U - I in closed form for a
+  whole stack of 2x2s at once, which ``lcu.LcuPlan`` applies to its block
+  array too.  Gates derived from a checked gate (``shifted``,
+  ``controlled``, a +-1 sign, an adjoint) reuse that read-only matrix
+  without a second dense check; the role and width checks still run where
+  they can fail.
 * ``Circuit`` is read-only: a width and a tuple of gates, checked in one
   pass when it is built, so a builder collects its ops first.
 * Simulation is exact and dense.  One rule decides what may be allocated
@@ -47,6 +50,26 @@ UNITARY_ATOL = 1e-12
 MAX_DENSE_WIDTH = 22
 
 
+def _unitarity_terms(a, b, c, d, hypot):
+    """The entries of U^dag U - I for U = [[a, b], [c, d]] in closed form, as magnitudes.
+
+    The same expression serves complex scalars (with ``math.hypot``) and
+    arrays of them (with ``np.hypot``).  Float products and hypot overflow
+    to inf, where ``**`` and ``abs(complex)`` raise.
+    """
+    z = a.conjugate() * b + c.conjugate() * d
+    return (abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
+            abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
+            hypot(z.real, z.imag))
+
+
+def unitarity_errors(m: np.ndarray) -> np.ndarray:
+    """max |U^dag U - I| of each 2x2 U in ``m``, shape (..., 2, 2); nan where an entry is nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _unitarity_terms(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1], np.hypot)
+        return np.maximum.reduce(terms)
+
+
 def _as_unitary(matrix, what: str) -> np.ndarray:
     m = np.array(matrix, dtype=complex)  # own copy, frozen below
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -54,13 +77,8 @@ def _as_unitary(matrix, what: str) -> np.ndarray:
     dim = m.shape[0]
     if dim & (dim - 1) or dim == 0:
         raise ValueError(f"{what} dimension must be a power of two, got {dim}")
-    if dim == 2:  # the entries of U^dag U - I in closed form; nan if any entry is nan
-        # float products and math.hypot overflow to inf, where ** and abs(complex) raise
-        (a, b), (c, d) = m.tolist()
-        z = a.conjugate() * b + c.conjugate() * d
-        errs = (abs(a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag - 1.0),
-                abs(b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag - 1.0),
-                math.hypot(z.real, z.imag))
+    if dim == 2:  # one gate: Python complex arithmetic is faster than numpy here
+        errs = _unitarity_terms(*m.ravel().tolist(), math.hypot)
         err = math.nan if math.isnan(sum(errs)) else max(errs)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are rejected

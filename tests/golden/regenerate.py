@@ -40,6 +40,8 @@ CASES = [
     ("eval-no-identity", EVAL_D3 + ["--no-include-identity-gates"], False),
     ("eval-asym-cubic", ["eval", "--fn", "asym-cubic", "--n", "5",
                          "--x", "0.1;0.37;0.5;1"], False),
+    ("eval-sin-json", ["eval", "--fn", "prod-sin", "--d", "2", "--n", "5",
+                       "--x", "0.3,0.7;0.5,0.8125;0.21,0", "--format", "json"], False),
     ("coeffs", ["coeffs", "--fn", "prod-sin", "--d", "2", "--n", "4"], False),
     ("coeffs-quadrature", ["coeffs", "--fn", "prod-quad", "--d", "2", "--n", "3",
                            "--quadrature"], False),

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from qkorobov import lcu, qsp, simulator
 from qkorobov.lcu import (
     LcuPlan,
+    _select_stack,
     ancilla_count,
     assemble_lcu,
     circuit_json_ops,
@@ -21,7 +23,6 @@ from qkorobov.lcu import (
     prepare_state_unitary,
     run_hadamard_test,
 )
-from qkorobov import qsp
 from qkorobov.analysis import corpus, corpus_function, generic_point
 from qkorobov.qsp import bind_signal, chebyshev_circuit
 from qkorobov.simulator import (
@@ -53,10 +54,23 @@ def term_record(weights, degrees, arguments):
     return terms
 
 
+def block_plan(weights, blocks, table):
+    """A plan from hand-built blocks, each a list of 2x2 gate matrices in circuit order.
+
+    The matrices are kept as given; shorter blocks are padded with identities.
+    """
+    counts = [len(block) for block in blocks]
+    gates = np.empty((len(blocks), max(counts, default=0), 2, 2), dtype=complex)
+    gates[...] = IDENTITY_2
+    for b, block in enumerate(blocks):
+        for i, matrix in enumerate(block):
+            gates[b, i] = matrix
+    return LcuPlan(weights, gates, counts, table)
+
+
 def identity_plan(weights):
     # one block, the identity gate, on the one data qubit of every term
-    table = np.zeros((len(weights), 1), dtype=int)
-    return LcuPlan(weights, [Circuit(1, [Gate(IDENTITY_2, (0,))])], table)
+    return block_plan(weights, [[IDENTITY_2]], np.zeros((len(weights), 1), dtype=int))
 
 
 class TestPrepareState:
@@ -107,7 +121,7 @@ class TestPrepareState:
         m = 2 ** 11 + 1
         with pytest.raises(ValueError, match="dense ceiling"):
             prepare_state_unitary(np.ones(m))
-        plan = LcuPlan(np.ones(m), [Circuit(1)], np.zeros((m, 1), dtype=int))
+        plan = block_plan(np.ones(m), [[]], np.zeros((m, 1), dtype=int))
         with pytest.raises(ValueError, match="dense ceiling"):
             assemble_lcu(plan)
         # the structured run never makes F dense, so the plan still evaluates
@@ -124,7 +138,7 @@ def select_segment(plan):
 class TestMultiplexer:
     # the select block of assemble_lcu: one selector-controlled gate per term gate
     def test_single_term_is_plain_gate(self):
-        plan = LcuPlan(np.array([1.0]), [Circuit(1, [Gate(PAULI_X, (0,))])], [[0]])
+        plan = block_plan(np.array([1.0]), [[PAULI_X]], [[0]])
         circuit = assemble_lcu(plan)
         assert circuit.width == 1
         [op] = circuit.ops
@@ -132,8 +146,7 @@ class TestMultiplexer:
         np.testing.assert_allclose(op.matrix, PAULI_X)
 
     def test_two_term_selector(self):
-        blocks = [Circuit(1, [Gate(IDENTITY_2, (0,))]), Circuit(1, [Gate(PAULI_X, (0,))])]
-        plan = LcuPlan(np.array([1.0, 1.0]), blocks, [[0], [1]])
+        plan = block_plan(np.array([1.0, 1.0]), [[IDENTITY_2], [PAULI_X]], [[0], [1]])
         dense = circuit_unitary(select_segment(plan))
         expected = np.eye(4, dtype=complex)
         expected[2:, 2:] = PAULI_X
@@ -145,8 +158,9 @@ class TestMultiplexer:
         np.testing.assert_allclose(dense, expected, atol=1e-14)
 
     def test_width_mismatch(self):
+        # a two-qubit gate has no place in a width-1 block
         with pytest.raises(ValueError, match="width"):
-            LcuPlan(np.array([1.0, 1.0]), [Circuit(1), Circuit(2)], [[0], [1]])
+            LcuPlan(np.array([1.0, 1.0]), np.zeros((2, 1, 4, 4)), [1, 1], [[0], [1]])
 
 
 class TestAssemble:
@@ -168,7 +182,7 @@ class TestAssemble:
 
     def test_gate_free_negative_term_keeps_its_sign(self):
         # degree-0 terms have no gates when identity gates are left out
-        plan = LcuPlan(np.array([1.0, -1.0]), [Circuit(1)], [[0], [0]])
+        plan = block_plan(np.array([1.0, -1.0]), [[]], [[0], [0]])
         assert abs(direct_amplitude(assemble_lcu(plan))) <= 1e-12
 
     def test_identity_free_circuit_matches_classical(self):
@@ -195,17 +209,18 @@ class TestAssemble:
             assembled, f_full.conj().T @ select @ f_full, atol=1e-12
         )
 
-    def test_each_argument_bound_once(self, monkeypatch):
-        calls = []
-        original = qsp.bind_signal
-        monkeypatch.setattr(qsp, "bind_signal", lambda c, x: calls.append(x) or original(c, x))
+    def test_each_argument_bound_once(self):
         smap = surplus_coefficients(PROD_QUAD_2, 3, 2)
         terms = chebyshev_expansion(smap, np.array([0.3, 0.45]))
         terms = terms[terms.weight != 0.0]
         plan = plan_from_terms(terms, 2)
-        distinct = {(k, u) for t in terms for k, u in zip(t.degrees, t.arguments)}
+        pairs = [(k, u) for t in terms for k, u in zip(t.degrees.tolist(), t.arguments.tolist())]
         assert plan.term_count == len(terms)
-        assert len(calls) == len(plan.blocks) == len(distinct) < len(terms) * 2  # shared
+        assert len(plan.blocks) == len(plan.gate_counts) == len(set(pairs)) < len(terms) * 2
+        # one block per distinct (k, u): the table maps equal pairs, and only those, together
+        block_of = dict(zip(pairs, plan.table.reshape(-1).tolist()))
+        assert sorted(block_of.values()) == list(range(len(plan.blocks)))
+        assert [block_of[pair] for pair in pairs] == plan.table.reshape(-1).tolist()
 
 
 class TestCircuitJsonOps:
@@ -264,14 +279,27 @@ class TestPlan:
         with pytest.raises(ValueError, match="at least one term"):
             identity_plan([])
         with pytest.raises(ValueError, match="align"):
-            LcuPlan(np.array([1.0, -1.0]), [Circuit(1)], [[0]])
+            block_plan(np.array([1.0, -1.0]), [[]], [[0]])
 
     def test_table_must_index_the_blocks(self):
         for table in ([[1]], [[-1]], [[0.0]]):
             with pytest.raises(ValueError, match="index the blocks"):
-                LcuPlan(np.array([1.0]), [Circuit(1)], table)
+                block_plan(np.array([1.0]), [[]], table)
         with pytest.raises(ValueError, match="width"):
-            LcuPlan(np.array([1.0]), [Circuit(1)], np.zeros((1, 0), dtype=int))
+            block_plan(np.array([1.0]), [[]], np.zeros((1, 0), dtype=int))
+
+    def test_hand_built_blocks_are_checked(self):
+        # every 2x2 is checked unitary once, when the plan is built
+        for bad in (np.diag([1.0, 2.0]), np.diag([1.0, np.nan]), PAULI_X * (1 + 1e-11)):
+            with pytest.raises(ValueError, match="block gate is not unitary"):
+                block_plan([1.0], [[IDENTITY_2, bad]], [[0]])
+        block_plan([1.0], [[IDENTITY_2, PAULI_X * (1 + 1e-13)]], [[0]])  # within UNITARY_ATOL
+        gates = np.array([[IDENTITY_2, PAULI_X]])
+        with pytest.raises(ValueError, match="padded with identity"):
+            LcuPlan([1.0], gates, [1], [[0]])  # the slot past the count is not the identity
+        for counts in ([3], [-1], [1.0], [1, 1]):
+            with pytest.raises(ValueError, match="gate_counts"):
+                LcuPlan([1.0], gates, counts, [[0]])
 
     def test_weights_are_read_only(self):
         given = np.array([0.5, -2.0])
@@ -280,6 +308,10 @@ class TestPlan:
             plan.weights[1] = 2.0
         with pytest.raises(ValueError, match="read-only"):
             plan.table[1, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.blocks[0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            plan.gate_counts[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.weights = np.array([0.5, 2.0])
         given[1] = 2.0  # the plan keeps its own copy
@@ -303,9 +335,8 @@ class TestPlan:
 
 def plan_from_terms_from_circuit(x):
     """Plan with the single degree-1 term bound at x."""
-    ops = [Gate(op.matrix, (0,), label=op.label)
-           for op in bind_signal(chebyshev_circuit(1), x).ops]
-    return LcuPlan(np.array([1.0]), [Circuit(1, ops)], [[0]])
+    ops = bind_signal(chebyshev_circuit(1), x).ops
+    return block_plan(np.array([1.0]), [[op.matrix for op in ops]], [[0]])
 
 
 class TestHadamardTest:
@@ -480,7 +511,7 @@ class TestTermRecord:
         # the zero-weight row is dropped before numbering
         np.testing.assert_array_equal(plan.table, [[0, 1], [2, 0], [0, 0]])
         np.testing.assert_array_equal(plan.weights, [1.0, 2.0, -1.0])
-        assert [len(b.ops) for b in plan.blocks] == [1, 0, 0]
+        assert plan.gate_counts.tolist() == [1, 0, 0]
 
 
 class TestGateAccounting:
@@ -511,8 +542,8 @@ def random_plan(rng, m, d):
     Block 0 is gate-free, and the last term runs it on every qubit with a
     negative weight, so one negative term has no gate to carry its sign.
     """
-    blocks = [Circuit(1)] + [
-        Circuit(1, [Gate(random_unitary(rng), (0,)) for _ in range(int(rng.integers(0, 4)))])
+    blocks = [[]] + [
+        [random_unitary(rng) for _ in range(int(rng.integers(0, 4)))]
         for _ in range(int(rng.integers(1, 5)))
     ]
     table = rng.integers(0, len(blocks), size=(m, d))
@@ -520,7 +551,7 @@ def random_plan(rng, m, d):
     if m > 1:
         table[-1] = 0
         weights[-1] = -abs(weights[-1])
-    return LcuPlan(weights, blocks, table)
+    return block_plan(weights, blocks, table)
 
 
 def gate_list_state(plan):
@@ -544,7 +575,7 @@ class TestStructuredRun:
     def test_all_negative_and_gate_free_terms(self):
         for weights in ([-1.0], [-0.5, -2.0], [-1.0, 3.0, -0.25]):
             m = len(weights)
-            plan = LcuPlan(weights, [Circuit(1)], np.zeros((m, 2), dtype=int))
+            plan = block_plan(weights, [[]], np.zeros((m, 2), dtype=int))
             np.testing.assert_allclose(run_hadamard_test(plan).amplitudes,
                                        gate_list_state(plan).amplitudes, rtol=0, atol=1e-12)
             assert expectation_z_first(run_hadamard_test(plan)) == pytest.approx(
@@ -562,6 +593,58 @@ class TestStructuredRun:
                     np.testing.assert_allclose(
                         run_hadamard_test(plan).amplitudes,
                         gate_list_state(plan).amplitudes, rtol=0, atol=1e-12)
+
+
+class TestBlockProducts:
+    def test_products_equal_circuit_unitary(self):
+        # the select stack's batched block products equal the bound block's
+        # circuit_unitary, the sign of a negative term on the qubit-0 factor
+        rng = np.random.default_rng(5)
+        us = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, *rng.uniform(-1, 1, 6)]
+        pairs = [(k, u) for k in range(6) for u in us]
+        weights = [(-1.0) ** j for j in range(len(pairs))]
+        terms = term_record(weights, [[k] for k, _ in pairs], [[u] for _, u in pairs])
+        for include_identity in (True, False):
+            plan = plan_from_terms(terms, 1, include_identity)
+            stack = _select_stack(plan)
+            assert stack.shape == (1, 2 ** plan.ancilla_count, 2, 2)
+            for j, (k, u) in enumerate(pairs):
+                bound = bind_signal(chebyshev_circuit(k, include_identity), u)
+                want = weights[j] * circuit_unitary(bound)
+                assert np.array_equal(stack[0, j], want), (k, u, include_identity)
+            padding = stack[0, len(pairs):]
+            assert np.array_equal(padding, np.broadcast_to(IDENTITY_2, padding.shape))
+
+
+class TestHotPathBuildsNoObjects:
+    """``evaluate_via_circuit`` builds no Gate or Circuit and binds no circuit per block.
+
+    A guard of the structure, not of timing: every object-per-block
+    constructor raises while a d=3, n=6 point is evaluated and reported.
+    """
+
+    def test_no_gate_circuit_or_bound_block(self, monkeypatch):
+        smap = surplus_coefficients(corpus_function("prod-quad", 3).f, 6, 3)
+        x = np.array([0.3, 0.6, 0.7])
+        want = smap.evaluate(x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an object-per-block path ran")
+
+        monkeypatch.setattr(Gate, "__post_init__", refuse)
+        monkeypatch.setattr(Gate, "_trusted", refuse)
+        monkeypatch.setattr(Circuit, "__post_init__", refuse)
+        for module in (qsp, lcu, simulator):  # and any binding imported by name
+            for name in ("bind_signal", "circuit_unitary"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError, match="object-per-block"):
+            Circuit(1)  # the guard is live
+        value, report = evaluate_via_circuit(smap, x)
+        plan = plan_from_terms(chebyshev_expansion(smap, x), 3)
+        assert hadamard_test_report(plan) == report
+        assert report.width == 3 + plan.ancilla_count + 1 == 13
+        assert abs(value - want) <= 1e-12 * max(1.0, plan.one_norm)
 
 
 class TestReportFromPlan:

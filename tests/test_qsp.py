@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qkorobov.qsp import (
     bind_signal,
+    chebyshev_blocks,
     chebyshev_circuit,
     chebyshev_first_kind,
     chebyshev_second_kind,
@@ -170,6 +171,50 @@ class TestChebyshevCircuit:
                 u = circuit_unitary(bind_signal(chebyshev_circuit(r), x))
                 v = qsp_ansatz((0.0,) * (r + 1), x)
                 np.testing.assert_allclose(u, v, atol=1e-12)
+
+
+class TestChebyshevBlocks:
+    """The array builder holds, byte for byte, what the bound gate form holds."""
+
+    SIGNALS = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-13,
+               *np.random.default_rng(12).uniform(-1, 1, 20)]
+
+    @pytest.mark.parametrize("include_identity", [True, False])
+    def test_bytes_equal_bound_circuit(self, include_identity):
+        degrees = [k for k in range(6) for _ in self.SIGNALS]
+        signals = [u for _ in range(6) for u in self.SIGNALS]
+        gates, counts = chebyshev_blocks(degrees, signals, include_identity)
+        assert gates.shape == (len(degrees), max(counts), 2, 2) and gates.dtype == complex
+        assert not gates.flags.writeable
+        for b, (k, u) in enumerate(zip(degrees, signals)):
+            ops = bind_signal(chebyshev_circuit(k, include_identity), u).ops
+            assert counts[b] == len(ops) == (2 * k + 1 if include_identity else k)
+            want = np.array([op.matrix for op in ops]).reshape(-1, 2, 2)
+            assert gates[b, :counts[b]].tobytes() == want.tobytes(), (k, u)  # -0.0 kept
+            padding = gates[b, counts[b]:]
+            assert padding.tobytes() == np.broadcast_to(np.eye(2, dtype=complex),
+                                                        padding.shape).tobytes()
+            # slot by slot: W(u) where the circuit has a signal gate, I elsewhere
+            labels = [op.label for op in chebyshev_circuit(k, include_identity).ops]
+            for label, gate in zip(labels, gates[b]):
+                want = signal_encoding(u) if label == "signal" else np.eye(2, dtype=complex)
+                assert gate.tobytes() == want.tobytes(), (k, u, label)
+
+    def test_rejects_what_signal_encoding_rejects(self):
+        for bad in (1.0 + 2e-12, -1.5, math.nan):
+            with pytest.raises(ValueError, match=r"outside \[-1, 1\]") as info:
+                chebyshev_blocks([1, 0], [0.5, bad])
+            with pytest.raises(ValueError) as direct:
+                signal_encoding(bad)
+            assert str(info.value) == str(direct.value)
+        with pytest.raises(ValueError, match="non-negative"):
+            chebyshev_blocks([-1], [0.5])
+
+    def test_empty_and_gate_free_columns(self):
+        gates, counts = chebyshev_blocks([], [])
+        assert gates.shape == (0, 0, 2, 2) and counts.shape == (0,)
+        gates, counts = chebyshev_blocks([0, 0], [0.3, -0.2], include_identity=False)
+        assert gates.shape == (2, 0, 2, 2) and counts.tolist() == [0, 0]
 
 
 class TestMatrixIdentity:

@@ -207,8 +207,9 @@ class TestDenseCeiling:
         lambda: run_circuit(Circuit(MAX_DENSE_WIDTH + 1)),
         lambda: circuit_unitary(Circuit(MAX_DENSE_WIDTH // 2 + 1)),
         lambda: prepare_state_unitary(np.ones(2 ** (MAX_DENSE_WIDTH // 2) + 1)),
-        lambda: run_hadamard_test(LcuPlan(
-            [1.0, 1.0], [Circuit(1)], np.zeros((2, MAX_DENSE_WIDTH - 1), dtype=int))),
+        lambda: run_hadamard_test(LcuPlan(  # one gate-free block on every qubit
+            [1.0, 1.0], np.empty((1, 0, 2, 2)), [0],
+            np.zeros((2, MAX_DENSE_WIDTH - 1), dtype=int))),
     ], ids=["zero-state", "run-circuit", "circuit-unitary", "prepare-state",
             "hadamard-test"])
     def test_every_site_refuses_before_allocating(self, call):

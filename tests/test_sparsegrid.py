@@ -534,20 +534,33 @@ class TestGrid:
         np.testing.assert_array_equal(grid, np.zeros((3, 2)))
 
 
+# k / 1001 lies inside (0, 1) and, 1001 being odd, on no grid line of any
+# level, so every level of a map supports it
+INTERIOR = st.integers(1, 1000).map(lambda k: k / 1001)
+
+
 def coordinates(n):
-    """Random, dyadic (levels up to n + 1) and boundary coordinates."""
+    """Random, dyadic (levels up to n + 1), boundary and interior coordinates."""
     dyadic = st.integers(1, n + 1).flatmap(
         lambda level: st.integers(0, 2 ** level).map(lambda k: k / 2.0 ** level))
-    return st.one_of(st.floats(0.0, 1.0), dyadic, st.sampled_from([0.0, 1.0]))
+    return st.one_of(st.floats(0.0, 1.0), dyadic, st.sampled_from([0.0, 1.0]), INTERIOR)
 
 
 def agreement_cases(d_max, n_max):
+    """(kind, d, n) and 1-4 points of mixed coordinates, then one interior point.
+
+    The interior point's coordinates differ from each other, so an axis
+    slip moves its value on an anisotropic map.
+    """
     return st.tuples(
         st.sampled_from(sorted(KINDS)), st.integers(1, d_max), st.integers(1, n_max),
     ).flatmap(lambda c: st.tuples(
         st.just(c),
-        st.lists(st.lists(coordinates(c[2]), min_size=c[1], max_size=c[1]),
-                 min_size=1, max_size=4),
+        st.tuples(
+            st.lists(st.lists(coordinates(c[2]), min_size=c[1], max_size=c[1]),
+                     min_size=1, max_size=4),
+            st.lists(INTERIOR, min_size=c[1], max_size=c[1], unique=True),
+        ).map(lambda p: p[0] + [p[1]]),
     ))
 
 
