@@ -6,9 +6,15 @@ the dual-oracle coefficient checks can be evaluated without any fitted
 constants.  Error norms follow fixed deterministic grids: the sup norm uses
 a dyadic grid that supersamples every interpolant cell 16x (kinks of the
 error sit on dyadic points only), finite p uses composite Gauss-Legendre
-for d <= 2 and a seeded Monte Carlo estimate for d = 3.  Both grid norms run
-through one chunked tensor-grid path, which reads a SurplusMap with
-``evaluate_grid`` and any other approximant as a callable on points.
+for d <= 2 and a seeded Monte Carlo estimate for every d >= 3.  Both grid
+norms run through one chunked tensor-grid path, which reads a SurplusMap
+with ``evaluate_grid`` and any other approximant as a callable on points.
+The test function is read the same way: a separable product (every corpus
+member but ``asym-cubic``, and every ``--expr`` function) carries the grid
+form ``f.on_grid(axes)``, which applies each factor once per axis value and
+multiplies the broadcast factors in the order of the point form, so the
+values are the same bit for bit and no (m, d) point array is built.  Any
+other callable, a wrapped ``f`` included, is called on points.
 
 The coefficient audit and the stencil-vs-integral gap work one level at a
 time: ``support_rule`` builds the two-cell Gauss rules of every node of the
@@ -103,30 +109,47 @@ FACTORS = {
 }
 
 
+class _SeparableProduct:
+    """prod_j factors[j](x_j) on (m, d) points, with a tensor-grid form.
+
+    ``on_grid(axes)`` applies each factor once to its axis values and
+    multiplies the broadcast factors in the order the point form uses,
+    ((1.0 * f_0) * f_1) * f_2, so it equals the point form on the meshgrid of
+    ``axes`` bit for bit.  The grid form travels with this object: a wrapped
+    or replaced ``f`` has none, and error norms then call it on points.
+    """
+
+    def __init__(self, factors: Sequence[Callable]):
+        self.factors = tuple(factors)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.ones(x.shape[:-1])
+        for j, factor in enumerate(self.factors):
+            out = out * factor(x[..., j])
+        return out
+
+    def on_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Values on the tensor grid axes[0] x ... x axes[d-1], shape (len(axes[0]), ...)."""
+        d = len(self.factors)
+        if len(axes) != d:
+            raise ValueError(f"need {d} axes")
+        out = np.ones(())
+        for j, (factor, axis) in enumerate(zip(self.factors, axes)):
+            shape = [1] * d
+            shape[j] = -1
+            out = out * factor(np.asarray(axis, dtype=float)).reshape(shape)
+        return out
+
+
 def separable_function(name: str, factor_names: Sequence[str]) -> KorobovTestFunction:
-    """Product of one corpus factor per coordinate."""
+    """Product of one corpus factor per coordinate; ``f`` has the grid form ``f.on_grid``."""
     factors = [FACTORS[fn] for fn in factor_names]
-    d = len(factors)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for j, fac in enumerate(factors):
-            out = out * fac.f(x[..., j])
-        return out
-
-    def dd(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for j, fac in enumerate(factors):
-            out = out * fac.dd(x[..., j])
-        return out
-
     return KorobovTestFunction(
         name=name,
-        d=d,
-        f=f,
-        mixed_derivative=dd,
+        d=len(factors),
+        f=_SeparableProduct([fac.f for fac in factors]),
+        mixed_derivative=_SeparableProduct([fac.dd for fac in factors]),
         seminorm_inf=float(np.prod([fac.sup for fac in factors])),
         seminorm_2=float(np.prod([fac.l2 for fac in factors])),
     )
@@ -191,19 +214,26 @@ def _grid_error(f: Callable, g, p: float, axes: list[np.ndarray],
     """||f - g||_p over the tensor grid ``axes``, in blocks of rows of axis 0.
 
     ``g`` is a SurplusMap, read through ``evaluate_grid``, or a callable on
-    (m, d) points; that is the only difference between the two.  The sup
-    norm takes the maximum over the grid (``weights`` None); finite p
-    contracts |f - g|^p with one weight vector per axis.
+    (m, d) points.  ``f`` is read through its grid form ``f.on_grid`` when it
+    has one (see ``separable_function``) and on points otherwise; the (m, d)
+    point array is built only for a callable that needs it.  Either way the
+    values are the same bit for bit.  The sup norm takes the maximum over the
+    grid (``weights`` None); finite p contracts |f - g|^p with one weight
+    vector per axis.
     """
     d = len(axes)
+    on_grid = getattr(f, "on_grid", None)
     step = max(1, budget // math.prod(len(a) for a in axes[1:]))
     worst, total = 0.0, 0.0
     for a in range(0, len(axes[0]), step):
         block = [axes[0][a:a + step]] + axes[1:]
         shape = [len(ax) for ax in block]
-        pts = np.stack(np.meshgrid(*block, indexing="ij", copy=False), axis=-1).reshape(-1, d)
+        pts = None
+        if on_grid is None or not isinstance(g, SurplusMap):
+            pts = np.stack(np.meshgrid(*block, indexing="ij", copy=False), axis=-1).reshape(-1, d)
         g_vals = g.evaluate_grid(block) if isinstance(g, SurplusMap) else g(pts)
-        diff = np.abs(np.asarray(f(pts), dtype=float).reshape(shape) - np.reshape(g_vals, shape))
+        f_vals = on_grid(block) if on_grid is not None else np.asarray(f(pts), dtype=float)
+        diff = np.abs(f_vals.reshape(shape) - np.reshape(g_vals, shape))
         if p == math.inf:
             worst = max(worst, float(diff.max()))
             continue
@@ -227,8 +257,9 @@ def lp_error(f: Callable, g, p, d: int, n: int, seed: int = 0) -> float:
 
     ``p`` is 2 <= p < inf or inf (the string "inf" and numpy inf work too).
     ``f`` takes (m, d) arrays; ``g`` may be the same or a SurplusMap, which
-    is read on the tensor grid by ``evaluate_grid``.  d = 3 with finite p
-    falls back to a seeded Monte Carlo estimate.
+    is read on the tensor grid by ``evaluate_grid``; ``f`` is read there by
+    its grid form ``f.on_grid`` when it has one.  Finite p at d >= 3 falls
+    back to a seeded Monte Carlo estimate, which calls both on points.
     """
     p = _norm_exponent(p)
     if p == math.inf:
@@ -242,7 +273,7 @@ def lp_error(f: Callable, g, p, d: int, n: int, seed: int = 0) -> float:
 
 def lp_error_mc(f: Callable, g: Callable, p: float, d: int,
                 samples: int = MC_SAMPLES, seed: int = 0) -> tuple[float, float]:
-    """Seeded Monte Carlo L^p error and its standard error (used for d = 3)."""
+    """Seeded Monte Carlo L^p error and its standard error (used for d >= 3)."""
     rng = np.random.default_rng(seed)
     pts = rng.random((samples, d))
     vals = np.abs(f(pts) - g(pts)) ** p

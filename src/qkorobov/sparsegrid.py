@@ -40,9 +40,10 @@ level) table.  For a point inside the supports, each per-coordinate hat
 splits into Chebyshev polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+
 P1(u).  ``chebyshev_expansion`` emits these terms for the circuit pipeline
 as one read-only ``numpy.recarray`` with the columns ``weight``,
-``degrees`` and ``arguments``: one gather of a surplus per supporting
-level, the sign rule applied as an array operation, and no Python object
-per term.
+``degrees`` and ``arguments``: one gather of the supporting levels'
+surpluses from a flat read-only copy of the coefficients, built once per
+map, the sign rule applied as an array operation, and no Python object per
+term.
 """
 
 from __future__ import annotations
@@ -192,6 +193,16 @@ class SurplusMap:
 
     def levels(self) -> list[Level]:
         return list(self._level_arrays)  # stored in ``enumerate_levels`` order
+
+    @functools.cached_property
+    def _flat(self) -> np.ndarray:
+        """Every coefficient in storage order as one read-only buffer, built on first use.
+
+        ``_level_layout`` locates a cell in it; the level arrays stay the storage.
+        """
+        flat = np.concatenate([values.reshape(-1) for values in self._level_arrays.values()])
+        flat.flags.writeable = False
+        return flat
 
     def level_values(self, level: Level) -> np.ndarray:
         """The coefficients of one level as a flat array, in ``index_set`` order."""
@@ -388,6 +399,23 @@ def _cell_table(axes: Sequence[np.ndarray], n: int):
     return [[_axis_cells(a, l) for l in range(1, n + 1)] for a in axes]
 
 
+@functools.lru_cache(maxsize=None)
+def _level_layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each level's cells sit in ``SurplusMap._flat``, as read-only arrays.
+
+    Row k is level k of ``enumerate_levels(n, d)``: ``levels`` holds l - 1
+    (also the column of level l in a ``_axis_cells`` table), and cell c of
+    that level is entry offsets[k] + sum_j c_j << shifts[k, j] of the
+    buffer, its C-order position after the levels before it.
+    """
+    levels = np.array(enumerate_levels(n, d), dtype=np.int64) - 1
+    offsets = np.concatenate([[0], np.cumsum(1 << levels.sum(axis=1))[:-1]])
+    shifts = np.cumsum(levels[:, ::-1], axis=1)[:, ::-1] - levels  # sum over the axes after j
+    for table in (levels, offsets, shifts):
+        table.flags.writeable = False
+    return levels, offsets, shifts
+
+
 def _level_nodes(level: Level) -> np.ndarray:
     """Nodes of one level as an (m, d) array, rows in ``index_set`` order."""
     axes = [np.arange(1, 2 ** l, 2) * 2.0 ** -l for l in level]
@@ -493,12 +521,11 @@ def chebyshev_expansion(s: SurplusMap, x) -> np.recarray:
     # (d, n) tables of cell, hat and u: entry [j, l - 1] is level l on axis j
     cell, hat_value, u = _axis_cells(x[:, None], np.arange(1, s.n + 1))
     axes = np.arange(d)
-    levels = np.array(s.levels()) - 1
+    levels, offsets, shifts = _level_layout(s.n, d)
     # x on a grid line of a level (boundary included): some hat of it is 0
     inside = (hat_value[axes, levels] > 0.0).all(axis=1)
-    cells = cell[axes, levels[inside]].tolist()
-    values = np.array([s._level_arrays[level][tuple(c)] for level, c in
-                       zip(itertools.compress(s.levels(), inside), cells)], dtype=float)
+    cells = cell[axes, levels[inside]]
+    values = s._flat[offsets[inside] + (cells << shifts[inside]).sum(axis=1)]
     arguments = u[axes, levels[inside]]
     degrees = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int8)
     flips = (degrees[None, :, :] * (arguments >= 0.0)[:, None, :]).sum(axis=2)

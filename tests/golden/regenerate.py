@@ -56,6 +56,10 @@ CASES = [
                           "--n-range", "1..4", "--format", "json"], False),
     ("convergence-svg", ["convergence", "--fn", "prod-quad", "--d", "2",
                          "--n-range", "1..5", "--format", "svg"], False),
+    ("convergence-aniso-d2", ["convergence", "--expr", "x^2(1-x)*sin(pi x)", "--d", "2",
+                              "--p", "inf", "--n-range", "2..5"], False),
+    ("convergence-aniso-d3", ["convergence", "--expr", "x(1-x)*x^2(1-x)*sin(pi x)", "--d", "3",
+                              "--p", "inf", "--n-range", "1..3"], False),
     ("resources", ["resources"], False),
     ("resources-csv", ["resources", "--d", "3", "--n-range", "1..6", "--format", "csv"], False),
     ("audit-scaled", ["audit", "--n", "3", "--scale-coeffs", "1.1"], False),

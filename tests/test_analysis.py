@@ -96,6 +96,35 @@ def boundary_sample(d, per_face=9):
     return np.array(pts)
 
 
+def grid_points(axes):
+    """The (m, d) points of the tensor grid ``axes``, axis 0 slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def aniso(d):
+    """A different factor on each axis: no permutation of the axes leaves it unchanged."""
+    return separable_function("aniso", ["x(1-x)", "sin(pi x)", "x^2(1-x)"][:d])
+
+
+DYADIC = np.linspace(0.0, 1.0, 33)
+GRID_AXES = [
+    DYADIC,  # 0, 1 and dyadic values
+    DYADIC[9:17],  # a block of rows, as chunking cuts it
+    DYADIC[3::4],  # a strided view
+    analysis._gl_composite(2)[0],
+    np.array([0.375]),
+    np.array([1.0]),
+    np.array([0.0, 0.3, 0.7, 1.0]),
+]
+# every member with a grid form, and --expr products of two and three different factors
+GRID_FUNCTIONS = [fn for fn in corpus() if fn.name != "asym-cubic"] + [
+    separable_function("x^2(1-x)*sin(pi x)", ["x^2(1-x)", "sin(pi x)"]),
+    aniso(2),
+    aniso(3),
+    separable_function("sin(pi x)*x(1-x)*x^2(1-x)", ["sin(pi x)", "x(1-x)", "x^2(1-x)"]),
+]
+
+
 class TestCorpus:
     def test_members(self):
         names = {(fn.name, fn.d) for fn in corpus()}
@@ -154,6 +183,28 @@ class TestCorpus:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             corpus_function("prod-quad", 5)
+
+
+class TestGridForm:
+    """``f.on_grid(axes)`` equals ``f`` on the meshgrid points of ``axes``, bit for bit."""
+
+    @pytest.mark.parametrize("fn", GRID_FUNCTIONS, ids=lambda fn: f"{fn.name}-d{fn.d}")
+    def test_equals_points_bit_for_bit(self, fn):
+        picks = itertools.product(range(len(GRID_AXES)), repeat=fn.d)
+        if fn.d == 3:  # each axis choice on each axis, with different choices beside it
+            picks = [(k, (k + 2) % len(GRID_AXES), (k + 5) % len(GRID_AXES))
+                     for k in range(len(GRID_AXES))] + [(0, 0, 0), (4, 0, 5)]
+        for pick in picks:
+            axes = [GRID_AXES[k] for k in pick]
+            shape = tuple(len(a) for a in axes)
+            got = fn.f.on_grid(axes)
+            assert got.shape == shape
+            assert np.array_equal(got, fn.f(grid_points(axes)).reshape(shape))
+
+    def test_only_separable_products_have_it(self):
+        assert not hasattr(corpus_function("asym-cubic", 1).f, "on_grid")
+        with pytest.raises(ValueError, match="need 2 axes"):
+            corpus_function("prod-quad", 2).f.on_grid([DYADIC])
 
 
 class TestLpError:
@@ -220,26 +271,55 @@ class TestLpError:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_blocks_cover_the_grid_once(self, d):
-        # every block size gives the unchunked value, with uneven weights too
+        # every block size gives the unchunked value, with uneven weights too;
+        # the grid form of f gives the point form's value exactly
         rng = np.random.default_rng(d)
-        fn = corpus_function("prod-quad", d)
-        smap = surplus_coefficients(fn.f, 3, d)
-        axes = [np.sort(rng.random(7 + j)) for j in range(d)]
+        axes = [np.sort(np.concatenate([rng.random(7 + j), [0.0, 0.5, 1.0]])) for j in range(d)]
         weights = [rng.random(len(a)) for a in axes]
         tail = math.prod(len(a) for a in axes[1:])
-        for g in (smap, smap.evaluate_batch):
-            for p, w in ((math.inf, None), (2.0, weights)):
-                whole = _grid_error(fn.f, g, p, axes, w)
-                for rows in (1, 2, 3):
-                    chunked = _grid_error(fn.f, g, p, axes, w, budget=rows * tail)
-                    assert chunked == pytest.approx(whole, rel=1e-13)
-        power = np.abs(fn.f(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-                            .reshape(-1, d)).reshape([len(a) for a in axes])
-                       - reference_grid(smap, axes)) ** 2
-        for w in reversed(weights):
-            power = power @ w
-        assert _grid_error(fn.f, smap, 2.0, axes, weights, budget=tail) == pytest.approx(
-            math.sqrt(power), rel=1e-13)
+        for fn in (corpus_function("prod-quad", d), aniso(d)):
+            smap = surplus_coefficients(fn.f, 3, d)
+            on_points = lambda x: fn.f(x)
+            for g in (smap, smap.evaluate_batch):
+                for p, w in ((math.inf, None), (2.0, weights)):
+                    whole = _grid_error(fn.f, g, p, axes, w)
+                    assert whole == _grid_error(on_points, g, p, axes, w)
+                    for rows in (1, 2, 3):
+                        chunked = _grid_error(fn.f, g, p, axes, w, budget=rows * tail)
+                        assert chunked == _grid_error(on_points, g, p, axes, w,
+                                                      budget=rows * tail)
+                        assert chunked == pytest.approx(whole, rel=1e-13)
+            power = np.abs(fn.f(grid_points(axes)).reshape([len(a) for a in axes])
+                           - reference_grid(smap, axes)) ** 2
+            for w in reversed(weights):
+                power = power @ w
+            assert _grid_error(fn.f, smap, 2.0, axes, weights, budget=tail) == pytest.approx(
+                math.sqrt(power), rel=1e-13)
+
+
+class TestGridNormsCallNoPoints:
+    """The sup and Gauss-Legendre norms read a grid-capable ``f`` on the grid only.
+
+    A guard of the structure, not of timing: ``f`` keeps its grid form but
+    raises when it is called on points.
+    """
+
+    class GridOnly:
+        def __init__(self, f):
+            self.on_grid = f.on_grid
+
+        def __call__(self, x):
+            raise AssertionError("f was called on points")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_no_point_call(self, d):
+        fn = aniso(d)
+        smap = surplus_coefficients(fn.f, 3, d)
+        guarded = self.GridOnly(fn.f)
+        with pytest.raises(AssertionError, match="on points"):
+            guarded(np.full((1, d), 0.5))  # the guard is live
+        for p in ("inf", 2) if d <= 2 else ("inf",):
+            assert lp_error(guarded, smap, p, d, 3) == lp_error(fn.f, smap, p, d, 3)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from qkorobov.lcu import evaluate_via_circuit
 from qkorobov.sparsegrid import (
     BATCH_ROWS,
     _axis_cells,
+    _level_layout,
     GridIndex,
     SurplusMap,
     chebyshev_expansion,
@@ -983,6 +984,19 @@ class TestLevelArrayStorage:
             np.testing.assert_array_equal([v for _, v in pairs], flat)
             np.testing.assert_array_equal([s[g] for g, _ in pairs], flat)
             assert all(type(v) is float and type(s[g]) is float for g, v in pairs)
+
+    def test_flat_buffer_locates_every_cell(self):
+        # the one buffer that chebyshev_expansion gathers from, read-only and built once
+        for s in (surplus_coefficients(aniso(3).f, 4, 3), SurplusMap.loads(
+                surplus_coefficients(aniso(2).f, 5, 2).dumps())):
+            flat = s._flat
+            assert flat is s._flat and not flat.flags.writeable
+            levels, offsets, shifts = _level_layout(s.n, s.d)
+            assert (levels + 1).tolist() == [list(level) for level in s.levels()]
+            for k, level in enumerate(s.levels()):
+                cells = np.argwhere(np.ones(s._level_arrays[level].shape, dtype=bool))
+                got = flat[offsets[k] + (cells << shifts[k]).sum(axis=1)]
+                assert np.array_equal(got, s.level_values(level))
 
     def test_node_beyond_level_n_is_missing(self):
         s = surplus_coefficients(PROD_QUAD_2, 2, 2)
