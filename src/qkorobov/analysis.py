@@ -490,12 +490,25 @@ def dual_oracle_gap(func: KorobovTestFunction, smap: SurplusMap) -> float:
 # Lambert W and resource formulas
 
 def lambert_w(x: float) -> float:
-    """Principal-branch W(x) for x >= 0 by Halley iteration from ln(1+x)."""
+    """Principal-branch W(x) for finite x >= 0.
+
+    Halley iteration on w e^w = x from ln(1+x); above 1e300, where w e^w
+    would overflow in the residual, Newton iteration on w + ln w = ln x.
+    """
     x = float(x)
-    if x < 0.0:
-        raise ValueError("principal branch implemented for x >= 0 only")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"principal branch implemented for finite x >= 0 only, got {x!r}")
     if x == 0.0:
         return 0.0
+    if x > 1e300:
+        log_x = math.log(x)
+        w = log_x - math.log(log_x)
+        for _ in range(50):
+            step = (w + math.log(w) - log_x) / (1.0 + 1.0 / w)
+            w -= step
+            if abs(step) <= 1e-16 * w:
+                break
+        return w
     w = math.log1p(x)
     for _ in range(50):
         e = math.exp(w)
@@ -550,18 +563,32 @@ def resource_estimate(epsilon: float, d: int, p, formula: str = "auto") -> Resou
     if formula not in ("p2-inf", "general-p"):
         raise ValueError(f"unknown formula {formula!r}")
 
-    log_eps = math.log2(1.0 / epsilon)
+    log_eps = -math.log2(epsilon)  # log2(1 / epsilon), finite for subnormal epsilon too
+
+    def bound(name: str, compute: Callable[[], float]) -> float:
+        """``compute()``, refused with a ValueError naming ``name`` unless it is finite."""
+        try:
+            value = compute()
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"the {name} at epsilon={epsilon!r} (d={d}, p={p:g}) is "
+                             f"{value!r}, not a finite double; use a larger epsilon")
+        return value
+
     if formula == "p2-inf":
         if p not in (2.0, math.inf):
             raise ValueError("the p2-inf form covers p in {2, inf} only")
-        arg = epsilon ** (-1.0 / d) / d * log_eps ** 1.5
-        w = lambert_w(arg)
-        depth = d * d * (2.0 * log_eps ** 1.5) ** d / (
+        w = lambert_w(bound("Lambert W argument",
+                            lambda: epsilon ** (-1.0 / d) / d * log_eps ** 1.5))
+        depth = bound("predicted_depth_bound", lambda: d * d * (2.0 * log_eps ** 1.5) ** d / (
             epsilon ** 0.5 * log_eps ** 1.5
-        ) * w
-        width = 2.0 * d + d * w
-        s_depth = d * epsilon ** -(0.5 + 1.0 / d) * (2.0 * log_eps ** 1.5) ** d
-        s_width = 2.0 * d + epsilon ** (-1.0 / d) * log_eps ** 1.5
+        ) * w)
+        width = bound("predicted_width_bound", lambda: 2.0 * d + d * w)
+        s_depth = bound("simplified_depth_bound",
+                        lambda: d * epsilon ** -(0.5 + 1.0 / d) * (2.0 * log_eps ** 1.5) ** d)
+        s_width = bound("simplified_width_bound",
+                        lambda: 2.0 * d + epsilon ** (-1.0 / d) * log_eps ** 1.5)
         return ResourceEstimate(
             epsilon, d, p, formula, None, None, w, depth, width, s_depth, s_width
         )
@@ -575,21 +602,22 @@ def resource_estimate(epsilon: float, d: int, p, formula: str = "auto") -> Resou
         raise ValueError("the general-p form needs beta > 1 (integer d >= 2)")
     eps_term = epsilon ** (-p / (2.0 * p - 1.0))
     eps_term_d = epsilon ** (-p / (d * (2.0 * p - 1.0)))
-    arg = (6.0 * t) ** alpha * alpha ** alpha * eps_term_d * log_eps ** alpha / d
-    w = lambert_w(arg)
-    depth = (
+    w = lambert_w(bound("Lambert W argument", lambda: (
+        (6.0 * t) ** alpha * alpha ** alpha * eps_term_d * log_eps ** alpha / d)))
+    depth = bound("predicted_depth_bound", lambda: (
         d * d * (12.0 * t) ** beta * alpha ** beta * eps_term * log_eps ** beta * w
-    )
-    width = 2.0 * d + d * w
-    s_depth = (
+    ))
+    width = bound("predicted_width_bound", lambda: 2.0 * d + d * w)
+    s_depth = bound("simplified_depth_bound", lambda: (
         d
         * (12.0 * t) ** (alpha + beta)
         * alpha ** (alpha + beta)
         * epsilon ** (-(p / (2.0 * p - 1.0)) * (1.0 + 1.0 / d))
         * log_eps ** (alpha + beta)
         * eps_term_d
-    )
-    s_width = 2.0 * d + (6.0 * t) ** alpha * alpha ** alpha * eps_term_d * log_eps ** alpha
+    ))
+    s_width = bound("simplified_width_bound", lambda: (
+        2.0 * d + (6.0 * t) ** alpha * alpha ** alpha * eps_term_d * log_eps ** alpha))
     return ResourceEstimate(
         epsilon, d, p, formula, alpha, beta, w, depth, width, s_depth, s_width
     )

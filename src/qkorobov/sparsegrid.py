@@ -26,24 +26,26 @@ The classical evaluators accept points of [0,1]^d only: ``evaluate``,
 ``evaluate_batch``, ``evaluate_grid`` and ``chebyshev_expansion`` reject a
 non-finite or out-of-domain coordinate with a ValueError.
 
-A ``SurplusMap`` stores its coefficients only as one array per level, where
-cell c holds the node with odd index 2c + 1; GridIndex nodes are built only
-when a caller asks for them.  ``SurplusMap(d, n, arrays)`` is the one
-constructor, which ``surplus_coefficients`` and ``from_json_dict`` (numpy
-columns of level, index and value) both end in: it checks the arrays once
-and keeps them read-only, without a copy.  Every read locates its hats
-with one kernel, ``_axis_cells``: for a coordinate x and a level l it
-gives the cell of the one hat whose support holds x, the hat value
-1 - |u| and the local coordinate u in [-1, 1].  ``evaluate`` is a one-row ``evaluate_batch``;
-``evaluate_grid`` and ``chebyshev_expansion`` read the same per-(axis,
-level) table.  For a point inside the supports, each per-coordinate hat
-splits into Chebyshev polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+
-P1(u).  ``chebyshev_expansion`` emits these terms for the circuit pipeline
-as one read-only ``numpy.recarray`` with the columns ``weight``,
-``degrees`` and ``arguments``: one gather of the supporting levels'
-surpluses from a flat read-only copy of the coefficients, built once per
-map, the sign rule applied as an array operation, and no Python object per
-term.
+A ``SurplusMap`` stores each coefficient once, in one read-only column in
+storage order: levels in ``enumerate_levels`` order, cells in C order, where
+cell c holds the node with odd index 2c + 1.  Each level's array is a view
+of the column, and ``_level_layout`` is the one place that computes the
+order.  GridIndex nodes are built only when a caller asks for them.
+``SurplusMap(d, n, coefficients)`` is the one constructor, which
+``surplus_coefficients`` (hierarchizing in place through the views) and
+``from_json_dict`` (numpy columns of level, index and value) both end in:
+it checks the column once and keeps it read-only, without a copy.  Every
+read locates its hats with one kernel, ``_axis_cells``: for a coordinate x
+and a level l it gives the cell of the one hat whose support holds x, the
+hat value 1 - |u| and the local coordinate u in [-1, 1].  ``evaluate`` is
+a one-row ``evaluate_batch``; ``evaluate_grid`` and ``chebyshev_expansion``
+read the same per-(axis, level) table.  For a point inside the supports,
+each per-coordinate hat splits into Chebyshev polynomials of degree 0 and
+1, 1 -/+ u = P0(u) -/+ P1(u).  ``chebyshev_expansion`` emits these terms
+for the circuit pipeline as one read-only ``numpy.recarray`` with the
+columns ``weight``, ``degrees`` and ``arguments``: one gather of the
+supporting levels' surpluses from the column, the sign rule applied as an
+array operation, and no Python object per term.
 """
 
 from __future__ import annotations
@@ -147,62 +149,50 @@ def grid_count(n: int, d: int) -> int:
 class SurplusMap:
     """Hierarchical surplus coefficients of one function at truncation n.
 
-    The coefficients (zeros included) live in one array per level vector l,
-    of shape (2^(l_1 - 1), ..., 2^(l_d - 1)).  The constructor checks them
-    once and makes them, and any array they view, read-only.  ``items()``,
-    ``entries`` and ``smap[g]`` are views built on demand, in lexicographic
-    (level, index) order.
+    ``coefficients`` is the only storage: the N coefficients (zeros
+    included) as one read-only column in storage order.  Level l reads it
+    through a view of shape (2^(l_1 - 1), ..., 2^(l_d - 1)).  The
+    constructor takes the column over without a copy when it is contiguous
+    float64, checks it once and makes it, and any array it views, read-only.
+    ``items()``, ``entries`` and ``smap[g]`` are views built on demand, in
+    lexicographic (level, index) order.
     """
 
     d: int
     n: int
+    coefficients: np.ndarray
     _level_arrays: Mapping[Level, np.ndarray]
 
-    def __init__(self, d: int, n: int, arrays: Mapping[Level, np.ndarray]):
-        levels = enumerate_levels(int(n), int(d))
-        if set(arrays) != set(levels):
-            raise ValueError(f"level arrays of the level-{n} index set of dimension {d}: "
-                             f"missing {[l for l in levels if l not in arrays]}, "
-                             f"extra {[l for l in arrays if l not in set(levels)]}")
-        stored = {}
-        for level in levels:
-            values = np.ascontiguousarray(arrays[level], dtype=float)
-            shape = tuple(2 ** (l - 1) for l in level)
-            if values.shape != shape:
-                raise ValueError(
-                    f"level {list(level)} needs an array of shape {shape}, got {values.shape}")
-            finite = np.isfinite(values)
-            if not finite.all():
-                cell = np.unravel_index(int(np.argmin(finite)), shape)
-                raise ValueError(
-                    f"coefficient of level {list(level)} index {[2 * int(c) + 1 for c in cell]} "
-                    f"is {values[cell].item()!r}; every coefficient must be finite")
-            base = values
-            while isinstance(base, np.ndarray):  # a writeable base would reach the cells too
-                base.flags.writeable = False
-                base = base.base
-            stored[level] = values
-        # frozen: the fields are set once, here
-        self.__dict__.update(d=int(d), n=int(n), _level_arrays=MappingProxyType(stored))
+    def __init__(self, d: int, n: int, coefficients: np.ndarray):
+        d, n = int(d), int(n)
+        column = np.ascontiguousarray(coefficients, dtype=float)
+        count = grid_count(n, d)
+        if column.shape != (count,):
+            got = len(column) if column.ndim == 1 else f"{column.ndim}-D array of {column.size}"
+            raise ValueError(f"{got} entries, but the level-{n} index set holds {count}")
+        finite = np.isfinite(column)
+        if not finite.all():
+            level, ok = next((l, v) for l, v in _split_levels(finite, n, d).items() if not v.all())
+            cell = np.unravel_index(int(np.argmin(ok)), ok.shape)
+            raise ValueError(
+                f"coefficient of level {list(level)} index {[2 * int(c) + 1 for c in cell]} "
+                f"is {column[np.argmin(finite)].item()!r}; every coefficient must be finite")
+        base = column
+        while isinstance(base, np.ndarray):  # a writeable base would reach the cells too
+            base.flags.writeable = False
+            base = base.base
+        # views taken after freezing are read-only; frozen: the fields are set once, here
+        self.__dict__.update(d=d, n=n, coefficients=column,
+                             _level_arrays=MappingProxyType(_split_levels(column, n, d)))
 
     def __len__(self) -> int:
-        return sum(values.size for values in self._level_arrays.values())
+        return self.coefficients.size
 
     def __getitem__(self, g: GridIndex) -> float:
         return self._level_arrays[g.level][tuple((i - 1) // 2 for i in g.index)].item()
 
     def levels(self) -> list[Level]:
         return list(self._level_arrays)  # stored in ``enumerate_levels`` order
-
-    @functools.cached_property
-    def _flat(self) -> np.ndarray:
-        """Every coefficient in storage order as one read-only buffer, built on first use.
-
-        ``_level_layout`` locates a cell in it; the level arrays stay the storage.
-        """
-        flat = np.concatenate([values.reshape(-1) for values in self._level_arrays.values()])
-        flat.flags.writeable = False
-        return flat
 
     def level_values(self, level: Level) -> np.ndarray:
         """The coefficients of one level as a flat array, in ``index_set`` order."""
@@ -344,10 +334,7 @@ class SurplusMap:
             k = int(order[1:][repeat].min())
             raise ValueError(
                 f"node level {level[k].tolist()} index {index[k].tolist()} appears twice")
-        expected = grid_count(n, d)
-        if m != expected:
-            raise ValueError(f"{m} entries, but the level-{n} index set holds {expected}")
-        return cls(d, n, _split_levels(values[order], n, d))
+        return cls(d, n, values[order])
 
     @classmethod
     def loads(cls, text: str) -> "SurplusMap":
@@ -401,7 +388,7 @@ def _cell_table(axes: Sequence[np.ndarray], n: int):
 
 @functools.lru_cache(maxsize=None)
 def _level_layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each level's cells sit in ``SurplusMap._flat``, as read-only arrays.
+    """Where each level's cells sit in ``SurplusMap.coefficients``, as read-only arrays.
 
     Row k is level k of ``enumerate_levels(n, d)``: ``levels`` holds l - 1
     (also the column of level l in a ``_axis_cells`` table), and cell c of
@@ -424,11 +411,11 @@ def _level_nodes(level: Level) -> np.ndarray:
 
 
 def _split_levels(flat: np.ndarray, n: int, d: int) -> dict[Level, np.ndarray]:
-    """Per-level views of values in storage order, (level, index) lexicographic."""
-    levels = enumerate_levels(n, d)
-    shapes = [[2 ** (l - 1) for l in level] for level in levels]
-    parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes])[:-1])
-    return {level: part.reshape(shape) for level, shape, part in zip(levels, shapes, parts)}
+    """Per-level views of a column in storage order, cut at ``_level_layout``'s offsets."""
+    levels, offsets, _ = _level_layout(n, d)
+    return {tuple(l + 1 for l in row): flat[start:start + (1 << sum(row))].reshape(
+                [1 << l for l in row])
+            for row, start in zip(levels.tolist(), offsets.tolist())}
 
 
 def _face_points(n: int, d: int) -> np.ndarray:
@@ -443,7 +430,7 @@ def _face_points(n: int, d: int) -> np.ndarray:
 
 
 def _hierarchize_axis(arrays: dict[Level, np.ndarray], j: int) -> None:
-    """Apply the 1-D stencil [-1/2, 1, -1/2] along axis j to nodal level arrays.
+    """Apply the 1-D stencil [-1/2, 1, -1/2] along axis j to nodal level arrays, in place.
 
     Levels that agree off axis j hold l_j = 1..top; their arrays interleave
     into one nodal line of 2^top + 1 points with zero ends, where level l_j
@@ -465,13 +452,14 @@ def _hierarchize_axis(arrays: dict[Level, np.ndarray], j: int) -> None:
             left = line[:, :-h:2 * h]
             centre = line[:, h::2 * h]
             right = line[:, 2 * h::2 * h]
-            arrays[level] = (centre - 0.5 * left - 0.5 * right).reshape(arrays[level].shape)
+            arrays[level][...] = (centre - 0.5 * left - 0.5 * right).reshape(arrays[level].shape)
 
 
 def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
     """Hierarchical surpluses of ``f`` over the sparse index set.
 
-    ``f`` must accept an (m, d) array and return m values, and must vanish on
+    ``f`` must accept an (m, d) array and return m values (an (m, 1) array
+    is accepted too; any other shape raises ValueError), and must vanish on
     the boundary of [0,1]^d: a face value above BOUNDARY_TOLERANCE times
     max(1, max |f(nodes)|) raises ValueError.  The interpolant induced by the
     result reproduces f at every node of the truncated grid.  ``f`` is called
@@ -481,7 +469,11 @@ def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
     nodes = [_level_nodes(level) for level in levels]
     count = sum(len(block) for block in nodes)
     pts = np.concatenate(nodes + [_face_points(n, d)])
-    values = np.asarray(f(pts), dtype=float).reshape(-1)
+    values = np.asarray(f(pts), dtype=float)
+    if values.shape not in ((len(pts),), (len(pts), 1)):
+        raise ValueError(f"f returned shape {values.shape} for {len(pts)} points; "
+                         "it must return one value per point")
+    values = values.reshape(-1)
     if not np.isfinite(values).all():
         bad = int(np.argmin(np.isfinite(values)))
         raise ValueError(f"function returned a non-finite value at {pts[bad].tolist()}")
@@ -495,10 +487,11 @@ def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
             "boundary of [0,1]^d"
         )
 
-    arrays = _split_levels(values[:count], n, d)
+    column = values[:count].copy()  # the node values without the face values
+    arrays = _split_levels(column, n, d)
     for j in range(d):
         _hierarchize_axis(arrays, j)
-    return SurplusMap(d, n, arrays)
+    return SurplusMap(d, n, column)
 
 
 def chebyshev_expansion(s: SurplusMap, x) -> np.recarray:
@@ -525,7 +518,7 @@ def chebyshev_expansion(s: SurplusMap, x) -> np.recarray:
     # x on a grid line of a level (boundary included): some hat of it is 0
     inside = (hat_value[axes, levels] > 0.0).all(axis=1)
     cells = cell[axes, levels[inside]]
-    values = s._flat[offsets[inside] + (cells << shifts[inside]).sum(axis=1)]
+    values = s.coefficients[offsets[inside] + (cells << shifts[inside]).sum(axis=1)]
     arguments = u[axes, levels[inside]]
     degrees = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int8)
     flips = (degrees[None, :, :] * (arguments >= 0.0)[:, None, :]).sum(axis=2)

@@ -571,9 +571,21 @@ class TestLambertW:
                 float(scipy.special.lambertw(x).real), rel=1e-14, abs=1e-300
             )
 
+    def test_against_scipy_up_to_the_largest_double(self):
+        # w e^w overflows near x = 4e302; the log form takes over above 1e300
+        xs = np.concatenate([np.logspace(250, np.log10(1.7e308), 400),
+                             [1e300, np.nextafter(1e300, np.inf), 4e302, 1e305, 3e305,
+                              1.7e308, np.finfo(float).max]])
+        for x in xs:
+            assert lambert_w(x) == pytest.approx(
+                float(scipy.special.lambertw(x).real), rel=1e-14)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambert_w(-0.1)
+        for x in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite x >= 0"):
+                lambert_w(x)
 
 
 class TestResourceEstimate:
@@ -628,6 +640,28 @@ class TestResourceEstimate:
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):
             resource_estimate(0.0, 1, 2)
+
+    @pytest.mark.parametrize("eps, d, p, field", [
+        (1e-300, 1, 2, "simplified_depth_bound"),  # an OverflowError in epsilon ** -1.5
+        (1e-300, 2, 2, "simplified_depth_bound"),  # inf from a product
+        (1e-320, 3, 3, "simplified_depth_bound"),
+        (1e-320, 1, 2, "Lambert W argument"),
+        (1e-100, 60, 3, "predicted_depth_bound"),
+    ])
+    def test_non_finite_bound_refused(self, eps, d, p, field):
+        with pytest.raises(ValueError, match=rf"^the {field} at epsilon={eps!r} \(d={d}, "
+                                             rf"p={p}\) is (inf|nan), not a finite double"):
+            resource_estimate(eps, d, p)
+
+    def test_subnormal_epsilon(self):
+        # log2(1 / epsilon) would be inf; -log2(epsilon) is about 1029.8
+        eps, d = 1e-310, 5
+        est = resource_estimate(eps, d, 2)
+        assert all(math.isfinite(v) for v in (
+            est.lambert_w_value, est.predicted_depth_bound, est.predicted_width_bound,
+            est.simplified_depth_bound, est.simplified_width_bound))
+        log_eps = -math.log2(eps)
+        assert est.simplified_width_bound == 2.0 * d + eps ** (-1.0 / d) * log_eps ** 1.5
         with pytest.raises(ValueError):
             resource_estimate(1.0, 1, 2)
 

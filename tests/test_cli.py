@@ -234,6 +234,17 @@ class TestResources:
         depths = {r["epsilon"]: r["refined_depth"] for r in doc["estimates"]}
         assert depths[0.05] > depths[0.5]
 
+    @pytest.mark.parametrize("args, field", [
+        (["--eps", "1e-300", "--d", "1", "--p", "2"], "simplified_depth_bound"),
+        (["--eps", "1e-320", "--d", "3", "--p", "3"], "simplified_depth_bound"),
+        (["--eps", "1e-300", "--d", "2"], "simplified_depth_bound"),
+        (["--eps", "0.01,1e-320", "--d", "1", "--format", "csv"], "Lambert W argument"),
+    ])
+    def test_non_finite_bound_is_config_error(self, tmp_path, capsys, args, field):
+        code, data = run_cli(["resources", "--n", "1", *args], tmp_path, "res.out")
+        assert (code, data) == (2, b"")
+        assert f"the {field} at epsilon=" in capsys.readouterr().err
+
     def test_csv_builds_no_map(self, tmp_path, monkeypatch):
         # the CSV prints only the estimates, so no surplus map may be built for it
         def refuse(*args, **kwargs):

@@ -48,14 +48,26 @@ def reference_surplus(f, n, d):
     return nodes, values @ weights
 
 
-def arrays_from_entries(entries):
-    """Per-level arrays filled from a {GridIndex: value} dict; unlisted cells are NaN."""
-    arrays = {}
-    for g, v in entries.items():
-        shape = tuple(2 ** (l - 1) for l in g.level)
-        cell = tuple((i - 1) // 2 for i in g.index)
-        arrays.setdefault(g.level, np.full(shape, np.nan))[cell] = v
-    return arrays
+def column_from_entries(entries, n, d):
+    """The coefficient column of a {GridIndex: value} dict in (level, index) order.
+
+    Levels in ``enumerate_levels`` order, each level's nodes in ``index_set``
+    order; an unlisted node is NaN.
+    """
+    nodes = [g for level in enumerate_levels(n, d) for g in index_set(level)]
+    return np.array([entries.get(g, np.nan) for g in nodes])
+
+
+def two_products(d):
+    """x(1-x) y(1-y) z^2(1-z) + sin(pi x) y^2(1-y) sin(pi z), cut to d axes.
+
+    A sum of two different products: no single product of one factor per
+    axis equals it for d >= 2, and no permutation of the axes leaves it
+    unchanged.
+    """
+    first = separable_function("first", ["x(1-x)", "x(1-x)", "x^2(1-x)"][:d]).f
+    second = separable_function("second", ["sin(pi x)", "x^2(1-x)", "sin(pi x)"][:d]).f
+    return lambda X: first(X) + second(X)
 
 
 def reference_evaluate_batch(s, points):
@@ -305,6 +317,22 @@ class TestSurplusCoefficients:
         with pytest.raises(ValueError, match="non-finite"):
             surplus_coefficients(bad, 2, 1)
 
+    @pytest.mark.parametrize("wrong, shape", [
+        (lambda X: PROD_QUAD_2(X)[:-1], r"\(44,\)"),
+        (lambda X: np.append(PROD_QUAD_2(X), [0.0, 0.0, 0.0]), r"\(48,\)"),
+        (lambda X: np.stack([PROD_QUAD_2(X)] * 2, axis=1), r"\(45, 2\)"),
+        (lambda X: 0.0, r"\(\)"),
+    ], ids=["one-short", "three-over", "two-columns", "scalar"])
+    def test_one_value_per_point_required(self, wrong, shape):
+        # 17 nodes and 4 face grids of 7 points at n=3, d=2
+        with pytest.raises(ValueError, match=rf"f returned shape {shape} for 45 points; "
+                                             "it must return one value per point"):
+            surplus_coefficients(wrong, 3, 2)
+
+    def test_column_of_values_accepted(self):
+        s = surplus_coefficients(lambda X: PROD_QUAD_2(X)[:, None], 3, 2)
+        assert np.array_equal(s.coefficients, surplus_coefficients(PROD_QUAD_2, 3, 2).coefficients)
+
     def test_one_call_on_nodes_and_faces(self):
         # N nodes plus the 2d face sparse grids of dimension d - 1
         for n, d, faces in ((8, 3, 6 * 1793), (6, 3, 6 * 321), (4, 1, 2)):
@@ -366,25 +394,39 @@ class TestReferenceSurplus:
             got = np.array(list(surplus_coefficients(f, n, d).entries.values()))
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("d, n_max", [(1, 6), (2, 6), (3, 5)])
+    def test_two_products_rounding_only(self, d, n_max):
+        f = two_products(d)
+        for n in range(1, n_max + 1):
+            nodes, want = reference_surplus(f, n, d)
+            s = surplus_coefficients(f, n, d)
+            assert list(s.entries) == nodes
+            scale = np.abs(f(np.array([g.node() for g in nodes]))).max()
+            assert np.abs(s.coefficients - want).max() <= 1e-14 * scale
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.integers(1, 3).flatmap(lambda d: st.tuples(
             st.just(d),
             st.integers(1, 5),
-            st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                     min_size=d, max_size=d),
+            st.lists(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+                              min_size=d, max_size=d),
+                     min_size=1, max_size=2),
         ))
     )
     def test_random_separable_polynomials(self, case):
-        # prod_j x_j (1 - x_j) (a_j + b_j x_j + c_j x_j^2)
-        d, n, factors = case
+        # one or two products prod_j x_j (1 - x_j) (a_j + b_j x_j + c_j x_j^2), summed
+        d, n, products = case
 
         def f(X):
-            out = np.ones(len(X))
-            for j, (a, b, c) in enumerate(factors):
-                t = X[:, j]
-                out = out * (t * (1 - t) * (a + b * t + c * t * t))
-            return out
+            total = np.zeros(len(X))
+            for factors in products:
+                out = np.ones(len(X))
+                for j, (a, b, c) in enumerate(factors):
+                    t = X[:, j]
+                    out = out * (t * (1 - t) * (a + b * t + c * t * t))
+                total = total + out
+            return total
 
         nodes, want = reference_surplus(f, n, d)
         got = np.array(list(surplus_coefficients(f, n, d).entries.values()))
@@ -497,6 +539,7 @@ KINDS = {
     "quad": lambda d: corpus_function("prod-quad", d).f,
     "sin": lambda d: sin_product,
     "aniso": lambda d: aniso(d).f,
+    "two-products": two_products,
 }
 
 
@@ -829,7 +872,7 @@ class TestJsonRoundTrip:
         entries = dict(surplus_coefficients(PROD_QUAD_2, 2, 2).items())
         entries[GridIndex((2, 1), (3, 1))] = float("inf")
         with pytest.raises(ValueError, match=r"level \[2, 1\] index \[3, 1\] is inf"):
-            SurplusMap(2, 2, arrays_from_entries(entries))
+            SurplusMap(2, 2, column_from_entries(entries, 2, 2))
 
     def test_schema(self):
         s = surplus_coefficients(PROD_QUAD_2, 1, 2)
@@ -884,11 +927,10 @@ class TestJsonRoundTrip:
 
 
 class TestReadOnlyMap:
-    """One checked constructor; the stored arrays cannot be changed afterwards."""
+    """One checked constructor; the stored column cannot be changed afterwards."""
 
-    def _arrays(self):
-        s = surplus_coefficients(PROD_QUAD_2, 3, 2)
-        return {level: np.array(s._level_arrays[level]) for level in s.levels()}
+    def _column(self):
+        return column_from_entries(surplus_coefficients(PROD_QUAD_2, 3, 2).entries, 3, 2)
 
     def test_writing_through_level_values_raises(self):
         s = surplus_coefficients(PROD_QUAD_2, 3, 2)
@@ -912,16 +954,18 @@ class TestReadOnlyMap:
         assert (s.d, s.n, len(s)) == (2, 3, grid_count(3, 2))
 
     def test_arrays_are_taken_over_without_a_copy(self):
-        given = self._arrays()
+        given = self._column()
         s = SurplusMap(2, 3, given)
-        for level, values in given.items():
-            assert s._level_arrays[level] is values
-            assert not values.flags.writeable
+        assert s.coefficients is given
+        assert not given.flags.writeable
+        for level in s.levels():
+            assert np.shares_memory(s._level_arrays[level], given)
 
     def test_base_of_a_view_is_frozen_too(self):
         s = surplus_coefficients(PROD_QUAD_1, 2, 1)
-        buffer = np.concatenate([s.level_values(level) for level in s.levels()])
-        smap = SurplusMap(1, 2, {(1,): buffer[:1], (2,): buffer[1:]})
+        buffer = np.concatenate([[np.nan], s.coefficients])
+        smap = SurplusMap(1, 2, buffer[1:])
+        assert smap.coefficients.base is buffer  # taken over, not copied
         with pytest.raises(ValueError, match="read-only"):
             buffer[0] = np.nan
         assert smap.evaluate([0.3]) == s.evaluate([0.3])
@@ -932,24 +976,22 @@ class TestReadOnlyMap:
             SurplusMap(2, 3)
 
     def test_level_set_checked(self):
-        arrays = self._arrays()
-        del arrays[2, 1]
-        with pytest.raises(ValueError, match=r"missing \[\(2, 1\)\], extra \[\]"):
-            SurplusMap(2, 3, arrays)
-        arrays = self._arrays()
-        arrays[4, 1] = np.zeros((8, 1))
-        with pytest.raises(ValueError, match=r"missing \[\], extra \[\(4, 1\)\]"):
-            SurplusMap(2, 3, arrays)
+        column = self._column()
+        for wrong in (column[:-1], np.append(column, 0.0)):
+            with pytest.raises(ValueError, match=rf"^{len(wrong)} entries, but the level-3 index "
+                                                 r"set holds 17$"):
+                SurplusMap(2, 3, wrong)
 
     def test_shape_checked(self):
-        arrays = self._arrays()
-        arrays[1, 2] = arrays[1, 2].reshape(-1)
-        with pytest.raises(ValueError, match=r"level \[1, 2\] needs an array of shape \(1, 2\)"):
-            SurplusMap(2, 3, arrays)
+        column = self._column()
+        for wrong in (column[:, None], column[None, :]):
+            with pytest.raises(ValueError, match=r"^2-D array of 17 entries, but the level-3 "
+                                                 r"index set holds 17$"):
+                SurplusMap(2, 3, wrong)
 
 
 class TestLevelArrayStorage:
-    """The per-level arrays are the only storage; every view reads them."""
+    """The column is the only storage; the level arrays and every view read it."""
 
     def test_build_constructs_no_grid_index(self, monkeypatch):
         built = []
@@ -959,11 +1001,11 @@ class TestLevelArrayStorage:
         monkeypatch.setattr(GridIndex, "__post_init__", lambda g: built.append(g) or post_init(g))
         s = surplus_coefficients(corpus_function("prod-quad", 3).f, 5, 3)
         assert built == []
-        assert set(vars(s)) == {"d", "n", "_level_arrays"}
+        assert set(vars(s)) == {"d", "n", "coefficients", "_level_arrays"}
         monkeypatch.undo()
-        for other in (SurplusMap(3, 5, arrays_from_entries(s.entries)),
+        for other in (SurplusMap(3, 5, column_from_entries(s.entries, 5, 3)),
                       SurplusMap.loads(s.dumps())):
-            assert set(vars(other)) == {"d", "n", "_level_arrays"}
+            assert set(vars(other)) == {"d", "n", "coefficients", "_level_arrays"}
 
     @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
     def test_views_read_the_level_arrays(self, fn):
@@ -972,7 +1014,7 @@ class TestLevelArrayStorage:
             arrays = s._level_arrays
             assert list(arrays) == s.levels()
             assert len(s) == grid_count(n, fn.d)
-            for other in (SurplusMap(fn.d, n, arrays_from_entries(s.entries)),
+            for other in (SurplusMap(fn.d, n, column_from_entries(s.entries, n, fn.d)),
                           SurplusMap.loads(s.dumps())):
                 assert list(other._level_arrays) == s.levels()
                 for level in s.levels():
@@ -981,16 +1023,17 @@ class TestLevelArrayStorage:
             flat = np.concatenate([arrays[level].reshape(-1) for level in s.levels()])
             assert [g for g, _ in pairs] == [
                 g for level in s.levels() for g in index_set(level)]
+            np.testing.assert_array_equal(s.coefficients, flat)
             np.testing.assert_array_equal([v for _, v in pairs], flat)
             np.testing.assert_array_equal([s[g] for g, _ in pairs], flat)
             assert all(type(v) is float and type(s[g]) is float for g, v in pairs)
 
     def test_flat_buffer_locates_every_cell(self):
-        # the one buffer that chebyshev_expansion gathers from, read-only and built once
+        # the stored column that chebyshev_expansion gathers from, read-only
         for s in (surplus_coefficients(aniso(3).f, 4, 3), SurplusMap.loads(
                 surplus_coefficients(aniso(2).f, 5, 2).dumps())):
-            flat = s._flat
-            assert flat is s._flat and not flat.flags.writeable
+            flat = s.coefficients
+            assert not flat.flags.writeable
             levels, offsets, shifts = _level_layout(s.n, s.d)
             assert (levels + 1).tolist() == [list(level) for level in s.levels()]
             for k, level in enumerate(s.levels()):
@@ -1003,3 +1046,35 @@ class TestLevelArrayStorage:
         for g in (GridIndex((3, 1), (1, 1)), GridIndex((2,), (1,))):
             with pytest.raises(KeyError):
                 s[g]
+
+
+class TestEachSurplusStoredOnce:
+    """The column is a map's one store of its coefficients, before and after reads.
+
+    A guard of the structure, not of timing: a built or loaded map holds
+    exactly its documented fields, the column owns its memory, every level
+    array views it, and it stays read-only after every reader has run.
+    """
+
+    FIELDS = {"d", "n", "coefficients", "_level_arrays"}
+
+    def check(self, smap):
+        assert set(vars(smap)) == self.FIELDS
+        column = smap.coefficients
+        assert column.shape == (grid_count(smap.n, smap.d),) and column.dtype == np.float64
+        assert not column.flags.writeable
+        assert column.base is None  # no face values or JSON columns kept behind it
+        for values in smap._level_arrays.values():
+            assert np.shares_memory(values, column) and not values.flags.writeable
+        assert sum(values.size for values in smap._level_arrays.values()) == column.size
+
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 5), (3, 4)])
+    def test_after_build_load_and_reads(self, d, n):
+        built = surplus_coefficients(two_products(d), n, d)
+        points = np.random.default_rng(d).random((50, d))
+        for smap in (built, SurplusMap.loads(built.dumps())):
+            self.check(smap)
+            chebyshev_expansion(smap, points[0])
+            smap.evaluate_batch(points)
+            smap.evaluate_grid(points[:7].T)
+            self.check(smap)
