@@ -7,8 +7,10 @@ constants.  Error norms follow fixed deterministic grids: the sup norm uses
 a dyadic grid that supersamples every interpolant cell 16x (kinks of the
 error sit on dyadic points only), finite p uses composite Gauss-Legendre
 for d <= 2 and a seeded Monte Carlo estimate for every d >= 3.  Both grid
-norms run through one chunked tensor-grid path, which reads a SurplusMap
-with ``evaluate_grid`` and any other approximant as a callable on points.
+norms run as one streaming pass over row blocks of axis 0, which reads a
+SurplusMap one block at a time with ``evaluate_grid`` and any other
+approximant as a callable on points; a grid above MAX_GRID_POINTS points
+is refused before it is read.
 The test function is read the same way: a separable product (every corpus
 member but ``asym-cubic``, and every ``--expr`` function) carries the grid
 form ``f.on_grid(axes)``, which applies each factor once per axis value and
@@ -39,6 +41,8 @@ import numpy as np
 from .lcu import assemble_lcu, plan_from_terms
 from .simulator import resource_report
 from .sparsegrid import (
+    GRID_BLOCK_VALUES,
+    MAX_GRID_POINTS,
     GridIndex,
     SurplusMap,
     chebyshev_expansion,
@@ -194,14 +198,17 @@ def corpus_function(name: str, d: int) -> KorobovTestFunction:
 # ---------------------------------------------------------------------------
 # error norms
 
-def _dyadic_grid(n: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, 2 ** (n + 4) + 1)
+def _dyadic_grid(n: int, d: int = 1) -> np.ndarray:
+    size = 2 ** (n + 4) + 1
+    _check_grid_size("sup", size, d, n)
+    return np.linspace(0.0, 1.0, size)
 
 
-def _gl_composite(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gl_composite(n: int, d: int = 1) -> tuple[np.ndarray, np.ndarray]:
     # 8-point Gauss-Legendre on each of 2^(n+2) equal subintervals of [0,1]
     base, base_w = gauss_legendre(8)
     cells = 2 ** (n + 2)
+    _check_grid_size("Gauss-Legendre", cells * len(base), d, n)
     width = 1.0 / cells
     lo = np.arange(cells) * width
     pts = (lo[:, None] + width * (base[None, :] + 1.0) / 2.0).ravel()
@@ -209,38 +216,82 @@ def _gl_composite(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
+def _check_grid_size(norm: str, size: int, d: int, n: int) -> None:
+    """Refuse a norm grid of ``size``^d points above MAX_GRID_POINTS, before it is built."""
+    if size ** d > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the {norm} norm at d={d}, n={n} reads a tensor grid of {size ** d:,} points, "
+            f"above the limit of {MAX_GRID_POINTS:,}; use a smaller n or d")
+
+
+def _norm_grid(p: float, d: int, n: int):
+    """The ``p`` norm's tensor grid at level n: (axes, weights), or None for Monte Carlo.
+
+    The sup norm's weights are None; finite p at d >= 3 is a Monte Carlo
+    estimate, with no grid.  n < 1 and a grid above MAX_GRID_POINTS points
+    raise ValueError before any axis is built.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if p == math.inf:
+        return [_dyadic_grid(n, d)] * d, None
+    if d >= 3:
+        return None
+    pts_1d, wts_1d = _gl_composite(n, d)
+    return [pts_1d] * d, [wts_1d] * d
+
+
 def _grid_error(f: Callable, g, p: float, axes: list[np.ndarray],
                 weights: list[np.ndarray] | None, budget: int = 1 << 21) -> float:
-    """||f - g||_p over the tensor grid ``axes``, in blocks of rows of axis 0.
+    """||f - g||_p over the tensor grid ``axes``, in one streaming pass over axis 0.
 
-    ``g`` is a SurplusMap, read through ``evaluate_grid``, or a callable on
-    (m, d) points.  ``f`` is read through its grid form ``f.on_grid`` when it
-    has one (see ``separable_function``) and on points otherwise; the (m, d)
-    point array is built only for a callable that needs it.  Either way the
-    values are the same bit for bit.  The sup norm takes the maximum over the
-    grid (``weights`` None); finite p contracts |f - g|^p with one weight
-    vector per axis.
+    The rows of axis 0 go through in blocks of about GRID_BLOCK_VALUES
+    values, written into the same few buffers, so the pass holds no
+    grid-sized array.  ``g`` is a SurplusMap, read one row block at a time
+    by ``g.evaluate_grid`` with one ``g.grid_rows`` reader, or a callable on
+    (m, d) points.  ``f`` is read through its grid form ``f.on_grid`` when
+    it has one (see ``separable_function``) and on points otherwise; a
+    block's (m, d) points are built only for a callable that needs them.  Either way the values are the same bit for bit.  The sup
+    norm takes the maximum over the grid (``weights`` None); finite p
+    contracts |f - g|^p with one weight vector per axis, row by row, and
+    sums axis 0 in outer blocks of ``budget // prod(sizes[1:])`` rows, so
+    the sums group the same way whatever the row blocks.
     """
     d = len(axes)
+    inner = math.prod(len(a) for a in axes[1:])
+    step = max(1, budget // inner)
+    block = min(step, max(1, GRID_BLOCK_VALUES // inner))
     on_grid = getattr(f, "on_grid", None)
-    step = max(1, budget // math.prod(len(a) for a in axes[1:]))
+    read = g.grid_rows(axes) if isinstance(g, SurplusMap) else None
+    g_buf = np.empty((block, inner)) if read else None
+    diff_buf = np.empty((block, inner))
+    row_sums = np.empty(min(step, len(axes[0])))
     worst, total = 0.0, 0.0
     for a in range(0, len(axes[0]), step):
-        block = [axes[0][a:a + step]] + axes[1:]
-        shape = [len(ax) for ax in block]
-        pts = None
-        if on_grid is None or not isinstance(g, SurplusMap):
-            pts = np.stack(np.meshgrid(*block, indexing="ij", copy=False), axis=-1).reshape(-1, d)
-        g_vals = g.evaluate_grid(block) if isinstance(g, SurplusMap) else g(pts)
-        f_vals = on_grid(block) if on_grid is not None else np.asarray(f(pts), dtype=float)
-        diff = np.abs(f_vals.reshape(shape) - np.reshape(g_vals, shape))
-        if p == math.inf:
-            worst = max(worst, float(diff.max()))
-            continue
-        power = diff ** p
-        for j in range(d - 1, 0, -1):
-            power = power @ weights[j]
-        total += float(weights[0][a:a + step] @ power)
+        stop = min(a + step, len(axes[0]))
+        for b in range(a, stop, block):
+            rows = slice(b, min(b + block, stop))
+            count = rows.stop - rows.start
+            cut = [axes[0][rows], *axes[1:]]
+            pts = None
+            if on_grid is None or read is None:
+                pts = np.stack(np.meshgrid(*cut, indexing="ij", copy=False),
+                               axis=-1).reshape(-1, d)
+            g_vals = (g.evaluate_grid(axes, rows, g_buf[:count], read) if read
+                      else np.reshape(g(pts), (count, inner)))
+            f_vals = on_grid(cut) if on_grid is not None else np.asarray(f(pts), dtype=float)
+            diff = np.subtract(f_vals.reshape(count, inner), g_vals, out=diff_buf[:count])
+            np.abs(diff, out=diff)
+            if p == math.inf:
+                worst = float(np.maximum(worst, diff.max()))  # a NaN stays, as in a sum
+                continue
+            diff **= p  # in place, the same square or power as diff ** p
+            power = diff.reshape([count] + [len(ax) for ax in axes[1:]])
+            for j in range(d - 1, 0, -1):
+                power = power @ weights[j]
+            row_sums[b - a:rows.stop - a] = power
+        if p != math.inf:
+            total += float(weights[0][a:stop] @ row_sums[:stop - a])
     return worst if p == math.inf else total ** (1.0 / p)
 
 
@@ -253,22 +304,26 @@ def _norm_exponent(p) -> float:
 
 
 def lp_error(f: Callable, g, p, d: int, n: int, seed: int = 0) -> float:
-    """||f - g||_p over [0,1]^d at the resolution tied to level ``n``.
+    """||f - g||_p over [0,1]^d at the resolution tied to level ``n`` >= 1.
 
     ``p`` is 2 <= p < inf or inf (the string "inf" and numpy inf work too).
-    ``f`` takes (m, d) arrays; ``g`` may be the same or a SurplusMap, which
-    is read on the tensor grid by ``evaluate_grid``; ``f`` is read there by
-    its grid form ``f.on_grid`` when it has one.  Finite p at d >= 3 falls
-    back to a seeded Monte Carlo estimate, which calls both on points.
+    The sup norm reads a dyadic tensor grid of (2^(n+4) + 1)^d points, and
+    finite p at d <= 2 a composite Gauss-Legendre grid of (2^(n+5))^d, in
+    one streaming pass (``_grid_error``) that holds a few row blocks and the
+    root partial sums of one ``grid_rows`` reader, never the grid.  A grid
+    above MAX_GRID_POINTS points is refused with a ValueError (exit 2 at the
+    CLI) before anything is read.  ``f`` takes (m, d) arrays and is read
+    there by its grid form ``f.on_grid`` when it has one; ``g`` may be the
+    same or a SurplusMap, read one row block at a time by ``evaluate_grid``.
+    Finite p at d >= 3 falls back to a seeded Monte Carlo estimate, which
+    calls both on points.
     """
     p = _norm_exponent(p)
-    if p == math.inf:
-        return _grid_error(f, g, p, [_dyadic_grid(n)] * d, None)
-    if d >= 3:
+    grid = _norm_grid(p, d, n)
+    if grid is None:
         g_fn = g.evaluate_batch if isinstance(g, SurplusMap) else g
         return lp_error_mc(f, g_fn, p, d, seed=seed)[0]
-    pts_1d, wts_1d = _gl_composite(n)
-    return _grid_error(f, g, p, [pts_1d] * d, [wts_1d] * d)
+    return _grid_error(f, g, p, *grid)
 
 
 def lp_error_mc(f: Callable, g: Callable, p: float, d: int,
@@ -351,22 +406,27 @@ def convergence_study(func: KorobovTestFunction, p, n_range: Sequence[int],
     err ~ c * N^s * log2(N)^{3(d-1)} (for d = 1 this is the plain
     least-squares slope); ``raw_slope`` is always the uncorrected fit.
     Rows with error below 1e-13 or N < 2 are excluded from the fits.
+    Before the first row is built, the grids of the largest n are checked
+    for every norm the study computes, so a grid above MAX_GRID_POINTS
+    points raises ValueError (exit 2 at the CLI) with nothing computed.
     """
     p = _norm_exponent(p)
     n_values = sorted(n_range)
     if not n_values:
         raise ValueError("n_range must be non-empty")
+    # the norms of each row, in the order they are computed: inf, 2, then p
+    exponents = [q for q, wanted in ((math.inf, "inf" in norms or p == math.inf),
+                                     (2.0, "2" in norms or p == 2.0),
+                                     (p, p not in (math.inf, 2.0))) if wanted]
+    for q in exponents:
+        _norm_grid(q, func.d, n_values[-1])
     rows = []
     for n in n_values:
         smap = surplus_coefficients(func.f, n, func.d)
-        err_inf = err_2 = err_p = None
-        if "inf" in norms or p == math.inf:
-            err_inf = lp_error(func.f, smap, math.inf, func.d, n, seed=seed)
-        if "2" in norms or p == 2.0:
-            err_2 = lp_error(func.f, smap, 2.0, func.d, n, seed=seed)
-        if p not in (math.inf, 2.0):
-            err_p = lp_error(func.f, smap, p, func.d, n, seed=seed)
-        rows.append(ConvergenceRow(n, grid_count(n, func.d), err_inf, err_2, err_p))
+        errors = {q: lp_error(func.f, smap, q, func.d, n, seed=seed) for q in exponents}
+        err_p = errors.get(p) if p not in (math.inf, 2.0) else None
+        rows.append(ConvergenceRow(n, grid_count(n, func.d), errors.get(math.inf),
+                                   errors.get(2.0), err_p))
 
     study = ConvergenceStudy(func.name, func.d, p, rows, None, None, None, None)
     keep, raw, corrected = _slope_fits(rows, study.errors_for_p(), func.d)

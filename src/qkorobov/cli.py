@@ -596,6 +596,8 @@ def main(argv=None) -> int:
             # config values become the subcommand's defaults, so explicit flags win
             subparsers[args.command].set_defaults(**_config_defaults(args))
             args = _parse(parser, subparsers, argv)
+        if getattr(args, "seed", 0) < 0:  # from the command line or the --config file
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.handler(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

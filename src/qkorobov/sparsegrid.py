@@ -38,14 +38,15 @@ it checks the column once and keeps it read-only, without a copy.  Every
 read locates its hats with one kernel, ``_axis_cells``: for a coordinate x
 and a level l it gives the cell of the one hat whose support holds x, the
 hat value 1 - |u| and the local coordinate u in [-1, 1].  ``evaluate`` is
-a one-row ``evaluate_batch``; ``evaluate_grid`` and ``chebyshev_expansion``
-read the same per-(axis, level) table.  For a point inside the supports,
-each per-coordinate hat splits into Chebyshev polynomials of degree 0 and
-1, 1 -/+ u = P0(u) -/+ P1(u).  ``chebyshev_expansion`` emits these terms
-for the circuit pipeline as one read-only ``numpy.recarray`` with the
-columns ``weight``, ``degrees`` and ``arguments``: one gather of the
-supporting levels' surpluses from the column, the sign rule applied as an
-array operation, and no Python object per term.
+a one-row ``evaluate_batch``; ``grid_rows`` (behind ``evaluate_grid``) and
+``chebyshev_expansion`` read the same per-(axis, level) table.  For a point
+inside the supports, each per-coordinate hat splits into Chebyshev
+polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+ P1(u).
+``chebyshev_expansion`` emits these terms for the circuit pipeline as one
+read-only ``numpy.recarray`` with the columns ``weight``, ``degrees`` and
+``arguments``: one gather of the supporting levels' surpluses from the
+column, the sign rule applied as an array operation, and no Python object
+per term.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ BOUNDARY_TOLERANCE = 1e-12
 # which stays in cache (4,096 and 16,384 rows were slower at d=3, n=8 on a
 # 2-vCPU x86 host)
 BATCH_ROWS = 8192
+# values per row block of the tensor-grid pass (``SurplusMap.grid_rows`` and the
+# error norms): 256 KiB per float buffer, reused block after block (2^14 and
+# 2^16 timed the same within noise on the ``verify`` benchmark, 2-vCPU x86 host)
+GRID_BLOCK_VALUES = 1 << 15
+# the most points an error norm's tensor grid may have, checked before it is read
+MAX_GRID_POINTS = 1 << 30
 SURPLUS_NODES_PER_CELL = 32
 
 
@@ -251,27 +258,64 @@ class SurplusMap:
         # a coordinate at 1 leaves the support of every level: add exactly 0.0
         return np.where((points < 1.0).all(axis=1), total, 0.0)
 
-    def evaluate_grid(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Interpolant on the tensor grid axes[0] x ... x axes[d-1].
+    def evaluate_grid(self, axes: Sequence[np.ndarray], rows: slice | None = None,
+                      out: np.ndarray | None = None, read=None) -> np.ndarray:
+        """Interpolant on the tensor grid axes[0] x ... x axes[d-1], each axis 1-D.
+
+        Without ``rows`` this is the whole grid, of shape (len(axes[0]), ...,
+        len(axes[d-1])), filled by ``grid_rows`` in row blocks of about
+        GRID_BLOCK_VALUES values.  With ``rows``, a slice of axis 0, it is
+        only those rows, as an array of shape (rows, prod of the later axis
+        sizes), written into ``out`` when given.  ``read``, from
+        ``grid_rows(axes)``, keeps the root partial sums between calls, so a
+        caller that streams the grid one row block at a time (the error
+        norms) builds them once.  Every value takes the same operations
+        whatever the blocks.
+        """
+        read = read or self.grid_rows(axes)
+        sizes = [len(a) for a in axes]
+        inner = math.prod(sizes[1:])
+        if rows is not None:
+            if out is None:
+                out = np.empty((len(range(sizes[0])[rows]), inner))
+            return read(rows, out)
+        whole = np.empty(sizes)
+        flat = whole.reshape(sizes[0], inner)
+        step = max(1, GRID_BLOCK_VALUES // max(1, inner))
+        for a in range(0, sizes[0], step):
+            read(slice(a, a + step), flat[a:a + step])
+        return whole
+
+    def grid_rows(self, axes: Sequence[np.ndarray]) -> Callable[[slice, np.ndarray], np.ndarray]:
+        """A reader of the interpolant on the tensor grid ``axes``, by blocks of axis-0 rows.
 
         Sum factorisation over the level prefix tree (Bungartz and Griebel,
         section 4): the partial sum below a prefix (l_0 .. l_{k-1}) is an
         array with one coefficient axis per prefix level and one grid axis
         per remaining coordinate.  Each child l_k contributes one gather of
         its level-l_k cells along axis k, times that axis's hat, so every
-        (axis, level) cell and hat is computed once and only the n children
-        of the root write a full grid array.  The sums group by prefix
-        instead of running level by level, so values differ from a plain
-        per-level loop by rounding only.
+        (axis, level) cell and hat is computed once.  The partial sums below
+        the n root levels l_0 do not depend on axis 0, so the reader builds
+        them on its first call and keeps them: (2^n - 1) x prod(sizes[1:])
+        values, the only memory it holds besides one scratch block.  The axes
+        are checked here, before anything is built.  ``read(rows, out)`` writes
+        the values of the rows ``axes[0][rows]`` into ``out``, a float array
+        of shape (rows, prod(sizes[1:])), and returns it: per root level one
+        gather of its cells, times the hat, added in l_0 order.  Each value
+        takes the same operations whatever the blocks, and the sums group by
+        prefix instead of running level by level, so values differ from a
+        plain per-level loop by rounding only.
         """
         if len(axes) != self.d:
             raise ValueError(f"need {self.d} axes")
-        axes = [np.asarray(a, dtype=float).reshape(-1) for a in axes]
+        axes = [np.asarray(a, dtype=float) for a in axes]
         for j, a in enumerate(axes):
+            if a.ndim != 1:
+                raise ValueError(f"axis {j} has shape {a.shape}; each axis must be 1-D")
             _check_domain(a[:, None], f"axis {j} entry")
         d, arrays = self.d, self._level_arrays
         sizes = [len(a) for a in axes]
-        cells = _cell_table(axes, self.n)
+        cells = []  # _cell_table(axes, n), built with the roots
 
         def contract(prefix: Level, budget: int) -> np.ndarray:
             # (prefix cells, axis k, remaining grid axes) sum over the subtree
@@ -292,7 +336,29 @@ class SurplusMap:
                     out += buf
             return out
 
-        return contract((), self.n + d - 1).reshape(sizes)
+        inner = math.prod(sizes[1:])
+        roots = []  # per root level l_0: its axis-0 cells and hats, and the sum below it
+        scratch = np.empty(0)
+
+        def read(rows: slice, out: np.ndarray) -> np.ndarray:
+            nonlocal scratch
+            if not roots:
+                cells.extend(_cell_table(axes, self.n))
+                for l, (cell, hat_0, _) in enumerate(cells[0], 1):
+                    partial = arrays[(l,)] if d == 1 else contract((l,), self.n + d - 1 - l)
+                    roots.append((cell, hat_0, partial.reshape(2 ** (l - 1), inner)))
+            if scratch.size < out.size:
+                scratch = np.empty(out.size)
+            buf = scratch[:out.size].reshape(out.shape)
+            for l, (cell, hat_0, partial) in enumerate(roots, 1):
+                target = out if l == 1 else buf
+                np.take(partial, cell[rows], axis=0, out=target, mode="clip")
+                target *= hat_0[rows, None]
+                if l > 1:
+                    out += buf
+            return out
+
+        return read
 
     # -- JSON round trip ----------------------------------------------------
 

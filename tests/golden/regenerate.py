@@ -50,6 +50,8 @@ CASES = [
     ("verify-convergence-quad", ["convergence", "--fn", "prod-quad", "--d", "3", "--p", "2",
                                  "--n-range", "2..3"], False),
     ("verify-audit", ["audit", "--n", "5"], False),
+    ("convergence-quad-d3-n4", ["convergence", "--fn", "prod-quad", "--d", "3", "--p", "2",
+                                "--n-range", "4..4"], False),
     ("convergence-p3-csv", ["convergence", "--fn", "prod-sin", "--d", "1", "--p", "3",
                             "--n-range", "2..5"], False),
     ("convergence-json", ["convergence", "--fn", "prod-quad", "--d", "2",

@@ -1,13 +1,15 @@
 """Corpus checks, error norms, studies, bounds, and resource formulas."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
-from qkorobov import analysis
+from qkorobov import analysis, sparsegrid
 from qkorobov.analysis import (
     FACTORS,
     ConvergenceRow,
@@ -28,13 +30,17 @@ from qkorobov.analysis import (
     separable_function,
 )
 from qkorobov.sparsegrid import (
+    GRID_BLOCK_VALUES,
+    MAX_GRID_POINTS,
     GridIndex,
+    SurplusMap,
     enumerate_levels,
     index_set,
     integral_coefficient,
     integral_coefficients,
     surplus_coefficients,
 )
+from test_sparsegrid import reference_evaluate_grid, two_products
 
 
 def reference_support_sum(integrand, g, nodes_per_cell, kernel):
@@ -237,6 +243,14 @@ class TestLpError:
             convergence_study(fn, float("nan"), [1, 2])
         assert calls == []
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nan_difference_is_not_dropped(self, d):
+        # a NaN of f - g in any row block gives NaN for every p, never 0
+        f = lambda x: np.where(x[:, 0] > 0.9, np.nan, 0.0)
+        g = lambda x: np.zeros(len(x))
+        for p in ("inf", 2, 3):
+            assert math.isnan(lp_error(f, g, p, d, 2))
+
     def test_p4_between_p2_and_inf(self):
         fn = corpus_function("prod-sin", 1)
         smap = surplus_coefficients(fn.f, 3, 1)
@@ -320,6 +334,149 @@ class TestGridNormsCallNoPoints:
             guarded(np.full((1, d), 0.5))  # the guard is live
         for p in ("inf", 2) if d <= 2 else ("inf",):
             assert lp_error(guarded, smap, p, d, 3) == lp_error(fn.f, smap, p, d, 3)
+
+
+def reference_grid_error(f, smap, p, axes, weights):
+    """||f - smap||_p on the tensor grid ``axes`` in one unblocked pass, plain numpy.
+
+    The interpolant comes from the per-level loop, ``f`` is called on every
+    meshgrid point at once, and finite p sums |f - g|^p times the outer
+    product of the axis weights in one reduction.
+    """
+    shape = [len(a) for a in axes]
+    diff = np.abs(np.asarray(f(grid_points(axes)), dtype=float).reshape(shape)
+                  - reference_evaluate_grid(smap, axes))
+    if p == math.inf:
+        return float(diff.max())
+    return float(np.sum(diff ** p * functools.reduce(np.multiply.outer, weights))) ** (1.0 / p)
+
+
+# every corpus member, and a different product per axis and a sum of two
+# products (no grid form) at d = 1..3
+STREAMED_FUNCTIONS = corpus() + [aniso(d) for d in (1, 2, 3)] + [
+    analysis.KorobovTestFunction("two-products", d, two_products(d), None, 0.0, 0.0)
+    for d in (1, 2, 3)]
+
+
+class TestStreamedNorms:
+    """The row-block pass of ``_grid_error`` against the unblocked reference."""
+
+    @pytest.mark.parametrize("fn", STREAMED_FUNCTIONS, ids=lambda fn: f"{fn.name}-d{fn.d}")
+    def test_matches_unblocked_reference(self, fn, monkeypatch):
+        # dyadic and Gauss-Legendre grids of the norms at level n for d = 1,
+        # at most 2 for d = 2 and 0 for d = 3 (17^3 and 32^3 points).
+        # Dyadic axes have odd lengths, which no row block of more than one
+        # row divides; 1,000 and 100 values per block cut the grids into
+        # many blocks, the last one short.
+        for n in range(1, 5):
+            smap = surplus_coefficients(fn.f, n, fn.d)
+            grid_n = min(n, {1: 4, 2: 2, 3: 0}[fn.d])
+            gl_pts, gl_wts = analysis._gl_composite(grid_n)
+            dyadic = analysis._dyadic_grid(grid_n)
+            for points, wts in ((dyadic, np.gradient(dyadic)), (gl_pts, gl_wts)):
+                axes, weights = [points] * fn.d, [wts] * fn.d
+                for p in (2.0, 3.0, math.inf):
+                    w = None if p == math.inf else weights
+                    want = reference_grid_error(fn.f, smap, p, axes, w)
+                    for block_values in (GRID_BLOCK_VALUES, 1000, 100):
+                        monkeypatch.setattr(analysis, "GRID_BLOCK_VALUES", block_values)
+                        for g in (smap, smap.evaluate_batch):
+                            got = _grid_error(fn.f, g, p, axes, w)
+                            assert got == pytest.approx(want, rel=1e-13), (n, p, block_values)
+
+    def test_map_is_read_by_row_blocks(self, monkeypatch):
+        # a guard of the structure: a norm reads the map through evaluate_grid
+        # one row block at a time, every grid point once, with one reader
+        # whose cell table and root partial sums are built once
+        evaluate_grid, cell_table = SurplusMap.evaluate_grid, sparsegrid._cell_table
+        calls, tables = [], []
+
+        def recording_evaluate_grid(self, axes, rows=None, out=None, read=None):
+            values = evaluate_grid(self, axes, rows, out, read)
+            calls.append((rows, read, values.shape))
+            return values
+
+        monkeypatch.setattr(SurplusMap, "evaluate_grid", recording_evaluate_grid)
+        monkeypatch.setattr(sparsegrid, "_cell_table",
+                            lambda *args: tables.append(args) or cell_table(*args))
+        for d in (1, 2, 3):
+            fn = aniso(d)
+            smap = surplus_coefficients(fn.f, 3, d)
+            for p in ("inf", 2) if d <= 2 else ("inf",):
+                calls.clear()
+                tables.clear()
+                want = lp_error(fn.f, smap, p, d, 3)
+                grid, _ = analysis._norm_grid(analysis._norm_exponent(p), d, 3)
+                inner = math.prod(len(a) for a in grid[1:])
+                assert len(tables) == 1
+                assert len({id(read) for _, read, _ in calls}) == 1
+                assert all(rows is not None and shape[1] == inner and
+                           shape[0] <= max(1, GRID_BLOCK_VALUES // inner)
+                           for rows, _, shape in calls)
+                assert sum(shape[0] for _, _, shape in calls) == len(grid[0])
+                assert lp_error(fn.f, fn.f, p, d, 3) == 0.0  # a callable g reads no map
+                assert len(tables) == 1
+                assert want == lp_error(fn.f, smap, p, d, 3)
+
+    def test_memory_is_bounded(self):
+        # 2048^2 Gauss-Legendre points; the unblocked pass peaked at 82.9 MiB
+        fn = corpus_function("prod-sin", 2)
+        smap = surplus_coefficients(fn.f, 6, 2)
+        lp_error(fn.f, smap, 2, 2, 6)
+        tracemalloc.start()
+        try:
+            lp_error(fn.f, smap, 2, 2, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+class TestGridCeiling:
+    """A norm grid above MAX_GRID_POINTS points is refused before it is read."""
+
+    @pytest.mark.parametrize("p, d, n, points", [
+        ("inf", 3, 6, 1025 ** 3),
+        ("inf", 4, 4, 257 ** 4),
+        (2, 2, 11, 2 ** 32),
+        (3, 1, 26, 2 ** 31),
+    ])
+    def test_refused_with_its_size(self, p, d, n, points, monkeypatch):
+        # refused before an axis is built or a point read
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or read before the check")
+
+        assert points > MAX_GRID_POINTS
+        fn = lambda x: np.zeros(len(x))
+        monkeypatch.setattr(analysis, "_grid_error", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ValueError, match=rf"d={d}, n={n} reads a tensor grid of {points:,} "):
+            lp_error(fn, fn, p, d, n)
+
+    @pytest.mark.parametrize("p, d, n", [("inf", 3, 5), (2, 2, 10), ("inf", 2, 10), (2, 3, 40)])
+    def test_largest_grids_pass_the_check(self, p, d, n):
+        # (2,3,40) is Monte Carlo: no grid, no ceiling
+        analysis._norm_grid(analysis._norm_exponent(p), d, n)
+
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_level_below_one_refused(self, n):
+        fn = corpus_function("prod-quad", 1)
+        for p in ("inf", 2):
+            with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}"):
+                lp_error(fn.f, fn.f, p, 1, n)
+
+    def test_study_checks_its_largest_n_first(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(analysis, "surplus_coefficients",
+                            lambda *args: built.append(args))
+        fn = corpus_function("prod-quad", 3)
+        with pytest.raises(ValueError, match=r"sup norm at d=3, n=6"):
+            convergence_study(fn, 2, range(1, 7))
+        # a study of the sup norm computes it whatever ``norms`` lists
+        with pytest.raises(ValueError, match=r"sup norm at d=3, n=6"):
+            convergence_study(fn, "inf", range(1, 7), norms=())
+        assert built == []
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkorobov import sparsegrid
+from qkorobov import analysis, sparsegrid
 from qkorobov.cli import build_parser, json_text, main
 
 # the options each subcommand reads and its --format choices, default first
@@ -643,3 +643,40 @@ class TestInputChecks:
             tmp_path, "eval.csv",
         )
         assert (code, data) == (2, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "2", "--p", "2"],  # the seed is never used: no Monte Carlo norm
+        ["--d", "3", "--p", "3"],
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv, from_config):
+        if from_config:
+            cfg = tmp_path / "seed.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv = argv + ["--config", str(cfg)]
+        else:
+            argv = argv + ["--seed", "-1"]
+        code, data = run_cli(["convergence", "--fn", "prod-quad", "--n", "2"] + argv,
+                             tmp_path, "seed.csv")
+        assert (code, data) == (2, b"")
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--fn", "prod-quad", "--d", "3", "--p", "2", "--n-range", "6..6"],
+         "sup norm at d=3, n=6 reads a tensor grid of 1,076,890,625 points"),
+        (["--expr", "x(1-x)*x(1-x)*x(1-x)*x(1-x)", "--p", "2", "--n-range", "4..4"],
+         "sup norm at d=4, n=4 reads a tensor grid of 4,362,470,401 points"),
+        (["--fn", "prod-sin", "--d", "2", "--p", "2", "--n-range", "3..11"],
+         "sup norm at d=2, n=11 reads a tensor grid of 1,073,807,361 points"),
+    ])
+    def test_norm_grid_above_ceiling_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+        # refused before the first map is built or a grid read
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or read before the check")
+
+        monkeypatch.setattr(analysis, "surplus_coefficients", refuse)
+        monkeypatch.setattr(analysis, "_grid_error", refuse)
+        code, data = run_cli(["convergence"] + argv, tmp_path, "big.csv")
+        assert (code, data) == (2, b"")
+        assert message in capsys.readouterr().err

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkorobov import sparsegrid
 from qkorobov.analysis import corpus, corpus_function, separable_function
 from qkorobov.lcu import evaluate_via_circuit
 from qkorobov.sparsegrid import (
@@ -576,6 +577,33 @@ class TestGrid:
         s = corpus_map("sin", 4, 2)
         grid = s.evaluate_grid([[0.0, 0.3, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(grid, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_blocks_equal_the_whole_grid(self, d, monkeypatch):
+        # any slice of rows reads the same values, through the reader or
+        # evaluate_grid, and evaluate_grid does not depend on its block size
+        s = corpus_map("aniso", 4, d)
+        axes = [np.linspace(0.0, 1.0, 11 + 4 * j) for j in range(d)]
+        whole = s.evaluate_grid(axes)
+        inner = whole[0].size
+        read = s.grid_rows(axes)
+        for start, stop in ((0, 11), (3, 4), (5, 11), (2, 2)):
+            want = whole[start:stop].reshape(stop - start, inner)
+            out = np.empty((stop - start, inner))
+            assert np.array_equal(read(slice(start, stop), out), want)
+            assert s.evaluate_grid(axes, slice(start, stop), out, read) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(s.evaluate_grid(axes, slice(start, stop)), want)
+        monkeypatch.setattr(sparsegrid, "GRID_BLOCK_VALUES", 7)
+        assert np.array_equal(s.evaluate_grid(axes), whole)
+
+    def test_axis_must_be_one_dimensional(self):
+        # a (2, 2) axis is not read as four coordinates
+        s = corpus_map("quad", 3, 2)
+        with pytest.raises(ValueError, match=r"^axis 1 has shape \(2, 2\); each axis must be 1-D"):
+            s.evaluate_grid([[0.5], np.full((2, 2), 0.25)])
+        with pytest.raises(ValueError, match=r"^axis 0 has shape \(\)"):
+            s.evaluate_grid([0.5, [0.25]])
 
 
 # k / 1001 lies inside (0, 1) and, 1001 being odd, on no grid line of any
