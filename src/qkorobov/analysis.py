@@ -18,12 +18,12 @@ multiplies the broadcast factors in the order of the point form, so the
 values are the same bit for bit and no (m, d) point array is built.  Any
 other callable, a wrapped ``f`` included, is called on points.
 
-The coefficient audit and the stencil-vs-integral gap work one level at a
-time: ``support_rule`` builds the two-cell Gauss rules of every node of the
-level as (nodes x quadrature points) arrays, the mixed derivative is called
-once on all of them, and each row reduces to one node's value.  The
-one-node form ``integral_coefficient`` is the same computation on a single
-row.
+The coefficient audit and the stencil-vs-integral gap work one level and
+one axis at a time: each factor of the mixed derivative's ``factors`` is
+summed over the two-cell Gauss rule of every node's support, and a level's
+values are the outer product of its d axis vectors, so no d-dimensional
+point array is built.  At d = 1 any callable is its own factor; at d >= 2 a
+derivative without ``factors`` is refused.
 
 Resource bounds implement the epsilon-complexity formulas with every big-O
 constant set to 1; outputs are relative units good for ordering and
@@ -51,7 +51,7 @@ from .sparsegrid import (
     index_set,
     integral_coefficient,  # re-exported: part of this module's interface
     integral_coefficients,
-    support_rule,
+    _support_sums,
     surplus_coefficients,
 )
 
@@ -484,12 +484,11 @@ def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
                       indices: Sequence[Sequence[int]] | None = None) -> np.ndarray:
     """L2 norms of the mixed derivative over the hat supports of one level.
 
-    One ``support_rule`` quadrature and one call of ``mixed_derivative``
-    serve every node of the level; values come in ``index_set`` order.
+    Each squared norm is a product of one 1-D sum of a squared factor per
+    axis; values come in ``index_set`` order.
     """
-    pts, w = support_rule(level, indices, SEMINORM_NODES_PER_CELL)
-    vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(w.shape)
-    return np.sqrt(np.sum(w * vals ** 2, axis=1))
+    squares = _support_sums(mixed_derivative, level, indices, SEMINORM_NODES_PER_CELL, power=2)
+    return np.sqrt(squares)
 
 
 def _check_map(func: KorobovTestFunction, smap: SurplusMap) -> None:

@@ -54,7 +54,7 @@ def fmt(x) -> str:
 
 
 def _zero_function(d: int) -> KorobovTestFunction:
-    zero = lambda x: np.zeros(np.asarray(x).shape[:-1])
+    zero = analysis._SeparableProduct([np.zeros_like] * d)
     return KorobovTestFunction("zero", d, zero, zero, 0.0, 0.0)
 
 
@@ -98,12 +98,16 @@ def parse_points(text: str, d: int) -> list[np.ndarray]:
     return points
 
 
+def _parse_float(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse {option} {text!r}") from None
+
+
 def parse_p(text: str) -> float:
     """--p as a float ("oo" is inf too); the library checks 2 <= p <= inf."""
-    try:
-        return math.inf if text == "oo" else float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse --p {text!r}") from None
+    return math.inf if text == "oo" else _parse_float(text, "--p")
 
 
 def parse_n_range(args) -> list[int]:
@@ -283,27 +287,23 @@ def _svg_polyline(xs, ys, width=480, height=360, margin=42):
 
 
 def svg_convergence(study: analysis.ConvergenceStudy) -> str:
-    rows = [(r.N, e) for r, e in zip(study.rows, study.errors_for_p()) if e and e > 0 and r.N >= 2]
-    xs = [math.log2(nn) for nn, _ in rows]
-    ys = [math.log2(e) for _, e in rows]
-    sx, sy = _svg_polyline(xs, ys)
-    pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-    # reference line of slope -2 through the first point
-    ref = " ".join(
-        f"{sx(x):.2f},{sy(ys[0] - 2.0 * (x - xs[0])):.2f}" for x in (xs[0], xs[-1])
-    )
-    exponent = 3 * (study.d - 1)
+    rows = [(math.log2(r.N), math.log2(e)) for r, e in zip(study.rows, study.errors_for_p())
+            if e and e > 0 and r.N >= 2]
     label = (
         f"{study.function} d={study.d} p={study.p} "
-        f"log-exponent 3(d-1)={exponent} slope={fmt(study.slope)}"
+        f"log-exponent 3(d-1)={3 * (study.d - 1)} slope={fmt(study.slope)}"
     )
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360">\n'
-        f'  <text x="10" y="16" font-size="11">{label}</text>\n'
-        f'  <polyline points="{ref}" fill="none" stroke="#999" stroke-dasharray="4 3"/>\n'
-        f'  <polyline points="{pts}" fill="none" stroke="#125699" stroke-width="1.5"/>\n'
-        "</svg>\n"
-    )
+    svg = ['<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360">',
+           f'  <text x="10" y="16" font-size="11">{label}</text>']
+    if rows:  # with no plottable row the plot is the label alone
+        xs, ys = zip(*rows)
+        sx, sy = _svg_polyline(xs, ys)
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in rows)
+        # reference line of slope -2 through the first point
+        ref = " ".join(f"{sx(x):.2f},{sy(ys[0] - 2.0 * (x - xs[0])):.2f}" for x in (xs[0], xs[-1]))
+        svg += [f'  <polyline points="{ref}" fill="none" stroke="#999" stroke-dasharray="4 3"/>',
+                f'  <polyline points="{pts}" fill="none" stroke="#125699" stroke-width="1.5"/>']
+    return "\n".join(svg + ["</svg>", ""])
 
 
 def cmd_convergence(args) -> int:
@@ -353,7 +353,7 @@ def cmd_convergence(args) -> int:
 def cmd_resources(args) -> int:
     p = parse_p(args.p or "2")
     eps_values = (
-        [float(e) for e in args.eps.split(",")] if args.eps else DEFAULT_EPS_GRID
+        [_parse_float(e, "--eps") for e in args.eps.split(",")] if args.eps else DEFAULT_EPS_GRID
     )
     d_values = [args.d] if args.d is not None else [1, 2, 3, 4, 5]
     estimates = []

@@ -20,7 +20,8 @@ boundary points the stencil reads, so the build costs N plus
 2d * grid_count(n, d - 1) evaluations of ``f``.  The integral
 representation of the coefficients (hat kernel against the order-2d mixed
 derivative) is kept in ``integral_coefficients`` (one level at a time) and
-``integral_coefficient`` (one node) purely as an independent check.
+``integral_coefficient`` (one node) purely as an independent check, as
+products of one 1-D sum per axis of the derivative's ``factors``.
 
 The classical evaluators accept points of [0,1]^d only: ``evaluate``,
 ``evaluate_batch``, ``evaluate_grid`` and ``chebyshev_expansion`` reject a
@@ -608,28 +609,35 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def support_rule(level: Sequence[int], indices: Sequence[Sequence[int]] | None = None,
-                 nodes_per_cell: int = 32, kernel: bool = False):
-    """Two-cell Gauss-Legendre rules on the supports of the hats of one level.
+def _support_sums(mixed_derivative: Callable, level: Sequence[int],
+                 indices: Sequence[Sequence[int]] | None = None, nodes_per_cell: int = 32,
+                 kernel: bool = False, power: int = 1) -> np.ndarray:
+    """Two-cell Gauss-Legendre sums of the mixed derivative over the hat supports of one level.
 
-    The nodes are the product of ``indices`` (one list of odd indices per
-    axis, all of the level by default), in ``index_set`` order.  Along each
-    axis the support of hat (l, i) splits at its node into two cells of
-    ``nodes_per_cell`` points each, so the kink of the hat falls between
-    cells; a node's rule is the tensor product of its axis rules.  Returns
-    the points as a (K * Q, d) array, K nodes of Q points each, and the
-    weights as a (K, Q) array.  With ``kernel`` every axis weight carries the
-    integral kernel -2^-(l+1) phi_{l,i}(x) of the surplus representation.
+    The derivative is read as one factor a_j per axis from its ``factors``; at
+    d = 1 any callable on (m, 1) points is its own factor, and at d >= 2 one
+    without them raises ValueError.  Along axis j the support of hat (l, i)
+    splits at its node into two cells of ``nodes_per_cell`` points, so the
+    hat's kink falls between cells, and the node's axis sum is
+    sum_q w_q a_j(x_q)^power; with ``kernel`` every weight carries the kernel
+    -2^-(l+1) phi_{l,i}(x) of the surplus representation.  Returns the
+    product of the axis sums for each node of the product of ``indices`` (all
+    of the level by default), in ``index_set`` order.
     """
     level = _check_level(level)
     if indices is None:
         indices = [range(1, 2 ** l, 2) for l in level]
     if len(indices) != len(level):
         raise ValueError("need one index list per level component")
-    d = len(level)
+    factors = getattr(mixed_derivative, "factors", None)
+    if factors is None and len(level) == 1:
+        factors = [lambda t: np.reshape(mixed_derivative(t.reshape(-1, 1)), t.shape)]
+    if factors is None or len(factors) != len(level):
+        raise ValueError(f"the mixed derivative has no factor per axis for level {level}; "
+                         "d >= 2 needs a product of one factor per axis")
     base, base_w = gauss_legendre(nodes_per_cell)
-    axis_pts, axis_wts = [], []
-    for j, (l, idx) in enumerate(zip(level, indices)):
+    out = np.ones(())
+    for l, idx, factor in zip(level, indices, factors):
         odd = np.asarray(idx, dtype=np.int64)
         if ((odd < 1) | (odd > 2 ** l - 1) | (odd % 2 == 0)).any():
             raise ValueError(f"indices {odd.tolist()} invalid for level {l} (odd, in [1, 2^l-1])")
@@ -638,20 +646,12 @@ def support_rule(level: Sequence[int], indices: Sequence[Sequence[int]] | None =
         node = i * h
         # cells (node - h, node) and (node, node + h) on every row
         p = np.concatenate([h / 2 * base + (node - h / 2), h / 2 * base + (node + h / 2)], axis=1)
-        w = np.broadcast_to(np.concatenate([h / 2 * base_w] * 2), p.shape)
+        w = np.concatenate([h / 2 * base_w] * 2)
         if kernel:
             w = w * (-(2.0 ** -(l + 1)) * hat(p / h - i))
-        # axis j of the nodes and axis d + j of the points
-        shape = [1] * (2 * d)
-        shape[j], shape[d + j] = p.shape
-        axis_pts.append(p.reshape(shape))
-        axis_wts.append(w.reshape(shape))
-    full = np.broadcast_shapes(*(a.shape for a in axis_pts))
-    pts = np.stack([np.broadcast_to(a, full) for a in axis_pts], axis=-1)
-    weight = axis_wts[0]
-    for w in axis_wts[1:]:
-        weight = weight * w
-    return pts.reshape(-1, d), weight.reshape(math.prod(full[:d]), -1)
+        values = np.asarray(factor(p), dtype=float)
+        out = np.multiply.outer(out, np.sum(w * values ** power, axis=1))
+    return out.ravel()
 
 
 def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
@@ -659,13 +659,10 @@ def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
     """Surpluses of one level via the integral representation (check oracle).
 
     Integrates prod_j(-2^{-(l_j+1)} phi_{l_j,i_j}(x_j)) times the order-2d
-    mixed derivative over each hat's support with ``support_rule``, one call
-    of ``mixed_derivative`` (on an (m, d) array) for the whole level.
-    Returns one value per node, in ``index_set`` order.
+    mixed derivative over each hat's support as a product of one 1-D sum per
+    axis.  Returns one value per node, in ``index_set`` order.
     """
-    pts, w = support_rule(level, indices, SURPLUS_NODES_PER_CELL, kernel=True)
-    vals = np.asarray(mixed_derivative(pts), dtype=float).reshape(w.shape)
-    return np.sum(w * vals, axis=1)
+    return _support_sums(mixed_derivative, level, indices, SURPLUS_NODES_PER_CELL, kernel=True)
 
 
 def integral_coefficient(mixed_derivative: Callable, g: GridIndex) -> float:

@@ -12,8 +12,10 @@ digest.  A change that moves an output regenerates the files and names each
 changed file and line.
 
 ``--check`` reruns every case against the recorded files and writes nothing:
-it prints ``OK`` or ``DIFF`` per case (with the first differing line, or the
-two digests of a digest-only case) and exits 1 on any difference.
+it prints ``OK`` or ``DIFF`` per case and exits 1 on any difference.  A
+differing case lists every differing line, numbered, as recorded -> got (at
+most 50 per case), or the two digests of a digest-only case, so the lines a
+change moves can be copied from it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -28,6 +31,7 @@ from pathlib import Path
 from qkorobov.cli import main
 
 HERE = Path(__file__).resolve().parent
+MAX_LISTED_LINES = 50  # differing lines that --check lists per case
 
 D3_POINTS = "0.3,0.6,0.7;0.5,0.25,0.625;0,0.4,0.9"  # interior, dyadic, boundary
 EVAL_D3 = ["eval", "--fn", "prod-quad", "--d", "3", "--n", "6", "--x", D3_POINTS]
@@ -97,20 +101,25 @@ def regenerate() -> None:
     (HERE / "MANIFEST.json").write_text(text, encoding="utf-8", newline="\n")
 
 
-def first_diff(got: bytes, want: bytes) -> str:
-    """The first line where two outputs differ, numbered from 1."""
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    for number, (g, w) in enumerate(zip(got_lines, want_lines), 1):
-        if g != w:
-            return f"line {number}: got {g!r}, recorded {w!r}"
-    if len(got_lines) != len(want_lines):
-        number = min(len(got_lines), len(want_lines)) + 1
-        return f"line {number}: got {len(got_lines)} lines, recorded {len(want_lines)}"
-    return "trailing newline differs"
+def line_diffs(got: bytes, want: bytes) -> list[str]:
+    """Every line where two outputs differ, numbered from 1, as recorded -> got.
+
+    A line that one output lacks shows as ``<none>``.
+    """
+    def show(line: bytes | None) -> str:
+        return "<none>" if line is None else repr(line)
+
+    pairs = itertools.zip_longest(want.splitlines(), got.splitlines())
+    diffs = [f"line {number}: {show(w)} -> {show(g)}"
+             for number, (w, g) in enumerate(pairs, 1) if w != g]
+    return diffs or (["trailing newline differs"] if got != want else [])
 
 
 def case_problem(name: str, entry: dict) -> str | None:
-    """Rerun one recorded MANIFEST entry: how its output differs, or None."""
+    """Rerun one recorded MANIFEST entry: how its output differs, or None.
+
+    A differing output lists its first MAX_LISTED_LINES differing lines.
+    """
     code, out = run(entry["argv"])
     if code != entry["exit"]:
         return f"exit {code}, recorded {entry['exit']}"
@@ -118,7 +127,13 @@ def case_problem(name: str, entry: dict) -> str | None:
         digest = hashlib.sha256(out).hexdigest()
         return None if digest == entry["sha256"] else f"sha256 {digest}, recorded {entry['sha256']}"
     want = (HERE / f"{name}.out").read_bytes()
-    return None if out == want else first_diff(out, want)
+    diffs = line_diffs(out, want)
+    if not diffs:
+        return None
+    listed = diffs[:MAX_LISTED_LINES]
+    if len(diffs) > len(listed):
+        listed.append(f"... and {len(diffs) - len(listed)} more")
+    return f"{len(diffs)} line(s) differ, recorded -> got" + "".join(f"\n  {d}" for d in listed)
 
 
 def check() -> int:

@@ -127,6 +127,14 @@ class TestCoeffs:
         assert code == 0
         doc = json.loads(data)
         assert all(e["value"] == 0.0 for e in doc["entries"])
+        # the integral oracle reads the zero derivative one factor per axis
+        code, data = run_cli(
+            ["coeffs", "--fn", "zero", "--d", "2", "--n", "2", "--quadrature"],
+            tmp_path, "zero2.json",
+        )
+        assert code == 0
+        entries = json.loads(data)["entries"]
+        assert len(entries) == 5 and all(e["quadrature"] == 0.0 for e in entries)
 
     def test_quadrature_column(self, tmp_path):
         code, data = run_cli(
@@ -201,6 +209,19 @@ class TestConvergence:
         text = data.decode()
         assert text.startswith("<svg") and "polyline" in text
 
+    @pytest.mark.parametrize("fn, n_range", [("zero", "1..3"), ("prod-quad", "1..1")])
+    def test_svg_with_no_plottable_row(self, tmp_path, fn, n_range):
+        # zero errors and N = 1 rows are never plotted: the label stands alone
+        code, data = run_cli(
+            ["convergence", "--fn", fn, "--d", "1", "--n-range", n_range, "--format", "svg"],
+            tmp_path, "empty.svg",
+        )
+        assert code == 0
+        lines = data.decode().splitlines()
+        assert lines[0].startswith("<svg") and lines[-1] == "</svg>"
+        assert len(lines) == 3 and f"{fn} d=1 p=inf" in lines[1]
+        assert "polyline" not in data.decode()
+
     def test_empty_range_is_config_error(self, tmp_path):
         code, _ = run_cli(
             ["convergence", "--fn", "prod-quad", "--d", "1", "--p", "inf",
@@ -244,6 +265,12 @@ class TestResources:
         code, data = run_cli(["resources", "--n", "1", *args], tmp_path, "res.out")
         assert (code, data) == (2, b"")
         assert f"the {field} at epsilon=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps, bad", [("0.5,abc", "abc"), ("0.5,", "")])
+    def test_unparsable_eps_is_config_error(self, tmp_path, capsys, eps, bad):
+        code, data = run_cli(["resources", "--eps", eps], tmp_path, "res.out")
+        assert (code, data) == (2, b"")
+        assert capsys.readouterr().err == f"error: cannot parse --eps {bad!r}\n"
 
     def test_csv_builds_no_map(self, tmp_path, monkeypatch):
         # the CSV prints only the estimates, so no surplus map may be built for it

@@ -51,13 +51,28 @@ def test_check_reports_each_case_and_writes_nothing(tmp_path, monkeypatch, capsy
     changed_files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
     assert REGENERATE.check() == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith(f"DIFF full: line {line}: got ")
-    assert out[1].startswith("DIFF digest: sha256 ") and out[1].endswith("0" * 64)
+    assert out[0] == "DIFF full: 1 line(s) differ, recorded -> got"
+    assert out[1].startswith(f"  line {line}: ") and "0.25" in out[1] and "0.125" in out[1]
+    assert out[2].startswith("DIFF digest: sha256 ") and out[2].endswith("0" * 64)
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == changed_files
 
 
-def test_first_diff_names_the_line():
-    first_diff = REGENERATE.first_diff
-    assert first_diff(b"a\nb\nc\n", b"a\nx\nc\n") == "line 2: got b'b', recorded b'x'"
-    assert first_diff(b"a\nb\n", b"a\n") == "line 2: got 2 lines, recorded 1"
-    assert first_diff(b"a\n", b"a") == "trailing newline differs"
+def test_line_diffs_names_every_line():
+    line_diffs = REGENERATE.line_diffs
+    assert line_diffs(b"a\nb\nc\nd\n", b"a\nx\nc\ny\n") == [
+        "line 2: b'x' -> b'b'", "line 4: b'y' -> b'd'"]
+    assert line_diffs(b"a\nb\n", b"a\n") == ["line 2: <none> -> b'b'"]
+    assert line_diffs(b"a\n", b"a\nb\n") == ["line 2: b'b' -> <none>"]
+    assert line_diffs(b"a\n", b"a") == ["trailing newline differs"]
+    assert line_diffs(b"a\n", b"a\n") == []
+
+
+def test_check_caps_the_listed_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(REGENERATE, "HERE", tmp_path)
+    monkeypatch.setattr(REGENERATE, "run", lambda argv: (0, b"x\n" * 60))
+    (tmp_path / "many.out").write_bytes(b"y\n" * 60)
+    problem = REGENERATE.case_problem("many", {"argv": [], "exit": 0, "sha256": None})
+    lines = problem.splitlines()
+    assert lines[0] == "60 line(s) differ, recorded -> got"
+    assert len(lines) == 52 and lines[50] == "  line 50: b'y' -> b'x'"
+    assert lines[51] == "  ... and 10 more"
