@@ -56,6 +56,10 @@ from .sparsegrid import (
 )
 
 MC_SAMPLES = 200_000
+# the most points one axis of a norm grid may have (8 MiB per float axis): the
+# d >= 2 grids under MAX_GRID_POINTS have at most 2^15 points per axis,
+# so this bounds only d = 1, where the sup and Gauss-Legendre norms stop at n = 15
+MAX_AXIS_POINTS = 1 << 20
 SEMINORM_NODES_PER_CELL = 24
 
 
@@ -217,11 +221,16 @@ def _gl_composite(n: int, d: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_grid_size(norm: str, size: int, d: int, n: int) -> None:
-    """Refuse a norm grid of ``size``^d points above MAX_GRID_POINTS, before it is built."""
+    """Refuse a norm grid of ``size``^d points above MAX_GRID_POINTS, or an axis of
+    ``size`` points above MAX_AXIS_POINTS, before it is built."""
     if size ** d > MAX_GRID_POINTS:
         raise ValueError(
             f"the {norm} norm at d={d}, n={n} reads a tensor grid of {size ** d:,} points, "
             f"above the limit of {MAX_GRID_POINTS:,}; use a smaller n or d")
+    if size > MAX_AXIS_POINTS:
+        raise ValueError(
+            f"the {norm} norm at d={d}, n={n} builds an axis of {size:,} points, "
+            f"above the limit of {MAX_AXIS_POINTS:,}; use a smaller n")
 
 
 def _norm_grid(p: float, d: int, n: int):

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -125,10 +126,22 @@ def parse_n_range(args) -> list[int]:
     raise ConfigError("need --n or --n-range")
 
 
+def check_out(path: str) -> None:
+    """Refuse, before any work, an --out that names a directory or lies in none."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write --out {path}: it is a directory")
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write --out {path}: no directory {directory}")
+
+
 def write_out(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -142,6 +155,15 @@ def csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+# A finite float array of at least DISTINCT_MIN_VALUES values is written from
+# the texts of its distinct values and rows: with 18 distinct values that took
+# 0.26 ms at 256 values against 0.37 ms for one template, and 0.12 against
+# 0.09 ms at 64 (2-vCPU x86 host).  When most values of an evenly spaced
+# sample of fewer than 2 * DISTINCT_SAMPLE of them are distinct, the template
+# is used instead, since the sort would cost more than the repeats save.
+DISTINCT_MIN_VALUES = 256
+DISTINCT_SAMPLE = 1024
+
 
 def json_text(doc) -> str:
     """``doc`` as the text of ``json.dumps(doc, indent=2) + "\\n"``, with these values.
@@ -151,9 +173,13 @@ def json_text(doc) -> str:
     bytes as its ``.item()``, a tuple as a list and a float ndarray of at
     most 8-byte floats as its ``tolist()``.  Any other type json cannot write
     raises ``TypeError``, a long double included.
+
+    A float array whose dtype, shape, indent and bytes repeat one written
+    earlier in the same document reuses that text; the texts are dropped
+    when the call returns.
     """
     out: list[str] = []
-    _write_json(doc, "\n", out)
+    _write_json(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -168,8 +194,12 @@ def _key_text(key) -> str:
     return _encode_str(key)
 
 
-def _write_json(obj, nl: str, out: list[str]) -> None:
-    """Append the text of ``obj``, whose line starts with ``nl`` (newline and indent)."""
+def _write_json(obj, nl: str, out: list[str], arrays: dict) -> None:
+    """Append the text of ``obj``, whose line starts with ``nl`` (newline and indent).
+
+    ``arrays`` maps (dtype, shape, indent, bytes) to the text of each finite
+    float array written so far in this document.
+    """
     if isinstance(obj, str):
         out.append(_encode_str(obj))
     elif obj is None or obj is True or obj is False:
@@ -184,40 +214,79 @@ def _write_json(obj, nl: str, out: list[str]) -> None:
         out.append("{")
         for i, (key, value) in enumerate(obj.items()):
             out.append(("," if i else "") + inner + _key_text(key) + ": ")
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, arrays)
         out.append(nl + "}" if obj else "}")
     elif isinstance(obj, (list, tuple)):
         inner = nl + "  "
         out.append("[")
         for i, value in enumerate(obj):
             out.append("," + inner if i else inner)
-            _write_json(value, inner, out)
+            _write_json(value, inner, out, arrays)
         out.append(nl + "]" if obj else "]")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.itemsize <= 8:
         if np.isfinite(obj).all():
-            out.append(_float_array_text(obj, nl))
+            key = (obj.dtype.str, obj.shape, nl, obj.tobytes())
+            text = arrays.get(key)
+            if text is None:
+                text = arrays[key] = _float_array_text(obj, nl)
+            out.append(text)
         else:  # non-finite values print as strings, one element at a time
-            _write_json(obj.tolist(), nl, out)
+            _write_json(obj.tolist(), nl, out, arrays)
     elif isinstance(obj, (np.floating, np.integer)) and obj.itemsize <= 8:
-        _write_json(obj.item(), nl, out)  # a long double's item() is itself: unwritable
+        _write_json(obj.item(), nl, out, arrays)  # a long double's item() is itself: unwritable
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _bracketed(items: list[str], outer: str) -> str:
+    """The JSON list of the item texts, its items on lines indented past ``outer``.
+
+    ``items`` is consumed: the brackets go onto its first and last item, so a
+    long list is copied once, by one ``str.join``.
+    """
+    inner = outer + "  "
+    items[0] = "[" + inner + items[0]
+    items[-1] += outer + "]"
+    return ("," + inner).join(items)
 
 
 def _float_array_text(arr: np.ndarray, nl: str) -> str:
     """A finite float array as the text of its nested ``tolist()``.
 
-    The layout of every element is the same, so one ``str.join`` per depth
-    builds a ``%s`` template of the whole array and one ``%`` fills in the
-    reprs, instead of a Python call per element.
+    Values are told apart by their bits, so 0.0 and -0.0 stay distinct.  A
+    large array with few distinct values calls ``float.__repr__`` once per
+    distinct value and writes each distinct innermost row once; the rows are
+    then put in place by their inverse index, one ``str.join`` per list.
+    Any other array fills a ``%s`` template of its layout with the repr of
+    every value, which costs no sort.
     """
-    template = "%s"
-    for depth in range(arr.ndim - 1, -1, -1):
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    bits = flat.view(f"u{flat.itemsize}")
+    sample = bits[::max(1, bits.size // DISTINCT_SAMPLE)]
+    if bits.size < DISTINCT_MIN_VALUES or 2 * len(np.unique(sample)) > sample.size:
+        template = "%s"
+        for depth in range(arr.ndim - 1, -1, -1):
+            template = (_bracketed([template] * arr.shape[depth], nl + "  " * depth)
+                        if arr.shape[depth] else "[]")
+        return template % tuple(map(float.__repr__, flat.tolist()))
+    values = np.unique(bits)
+    codes = np.searchsorted(values, bits)  # cheaper than np.unique's return_inverse
+    texts = list(map(float.__repr__, values.view(flat.dtype).tolist()))
+    depth, width = arr.ndim - 1, arr.shape[-1]
+    if depth and width * len(texts).bit_length() < np.iinfo(np.intp).bits:  # one key per row
+        dims = (len(texts),) * width
+        keys = np.ravel_multi_index(codes.reshape(-1, width).T, dims)
+        rows = np.unique(keys)
+        codes = np.searchsorted(rows, keys)
         outer = nl + "  " * depth
-        inner = outer + "  "
-        template = ("[" + inner + ("," + inner).join([template] * arr.shape[depth])
-                    + outer + "]") if arr.shape[depth] else "[]"
-    return template % tuple(map(float.__repr__, arr.ravel().tolist()))
+        texts = [_bracketed([texts[c] for c in row], outer)
+                 for row in np.column_stack(np.unravel_index(rows, dims)).tolist()]
+        depth -= 1
+    items = np.array(texts, dtype=object)[codes].tolist()
+    for depth in range(depth, -1, -1):
+        size, outer = arr.shape[depth], nl + "  " * depth
+        items = [_bracketed(items[i:i + size], outer) for i in range(0, len(items), size)]
+    return items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +667,8 @@ def main(argv=None) -> int:
             args = _parse(parser, subparsers, argv)
         if getattr(args, "seed", 0) < 0:  # from the command line or the --config file
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.out:
+            check_out(args.out)
         return args.handler(args)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -391,8 +391,11 @@ def circuit_json_ops(circuit: Circuit) -> list[dict]:
     Each op's ``matrix`` is a read-only float ndarray of shape (K, 2), the
     gate's entries as row-major [re, im] pairs (a view, or a copy where the
     gate holds a transposed matrix).  ``cli.json_text`` writes it as the list
-    of pairs, sign bits included, without a Python object per entry; the
-    standard ``json`` module cannot write an ndarray.
+    of pairs, sign bits included: a large matrix from the texts of its
+    distinct values and pairs, each formatted once (the F of a trace holds a
+    few dozen distinct values among its 2^(2s)), and a matrix that repeats
+    one earlier in the trace from that matrix's text; the standard ``json``
+    module cannot write an ndarray.
     """
     ops = []
     for op in circuit.ops:

@@ -77,6 +77,10 @@ BATCH_ROWS = 8192
 GRID_BLOCK_VALUES = 1 << 15
 # the most points an error norm's tensor grid may have, checked before it is read
 MAX_GRID_POINTS = 1 << 30
+# the most points (nodes plus face points) a surplus build may evaluate f on,
+# checked before any node array exists: d=3, n=16 (13.8 M) is the largest
+# d=3 build, d=2 stops at n=19 and d=1 at n=23
+MAX_SURPLUS_POINTS = 1 << 24
 SURPLUS_NODES_PER_CELL = 32
 
 
@@ -149,8 +153,35 @@ def index_set(level: Sequence[int]) -> list[GridIndex]:
 
 
 def grid_count(n: int, d: int) -> int:
-    """Exact number of sparse-grid nodes at truncation level n."""
-    return sum(2 ** (sum(level) - len(level)) for level in enumerate_levels(n, d))
+    """Exact number of sparse-grid nodes at truncation level n.
+
+    The C(k + d - 1, d - 1) levels with ||l||_1 = k + d hold 2^k nodes each,
+    for k = 0..n-1, so the count takes O(n) steps whatever d.
+    """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be >= 1")
+    return sum(math.comb(k + d - 1, d - 1) << k for k in range(n))
+
+
+def _check_surplus_size(n: int, d: int) -> None:
+    """Refuse a surplus build above MAX_SURPLUS_POINTS points, before it starts.
+
+    The build evaluates f on grid_count(n, d) nodes and 2d face grids of
+    grid_count(n, d - 1) points (2 points at d = 1).
+    """
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be >= 1")
+    # level (n, 1, ..., 1) alone holds 2^(n - 1) nodes, so a larger n needs no count
+    if n > 64:
+        need = f"at least 2^{n - 1} nodes"
+    else:
+        nodes = grid_count(n, d)
+        faces = 2 * d * grid_count(n, d - 1) if d > 1 else 2
+        if nodes + faces <= MAX_SURPLUS_POINTS:
+            return
+        need = f"{nodes:,} nodes + {faces:,} face points"
+    raise ValueError(f"a surplus build at d={d}, n={n} evaluates f on {need}, above the "
+                     f"limit of {MAX_SURPLUS_POINTS:,} points; use a smaller n or d")
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -530,8 +561,11 @@ def surplus_coefficients(f: Callable, n: int, d: int) -> SurplusMap:
     the boundary of [0,1]^d: a face value above BOUNDARY_TOLERANCE times
     max(1, max |f(nodes)|) raises ValueError.  The interpolant induced by the
     result reproduces f at every node of the truncated grid.  ``f`` is called
-    once, on the N nodes followed by the 2d face sparse grids.
+    once, on the N nodes followed by the 2d face sparse grids.  A build of
+    more than MAX_SURPLUS_POINTS points raises ValueError before any node
+    array exists (``_check_surplus_size``).
     """
+    _check_surplus_size(n, d)
     levels = enumerate_levels(n, d)
     nodes = [_level_nodes(level) for level in levels]
     count = sum(len(block) for block in nodes)

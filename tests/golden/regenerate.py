@@ -71,6 +71,8 @@ CASES = [
     ("audit-scaled", ["audit", "--n", "3", "--scale-coeffs", "1.1"], False),
     ("circuit-d3-n4", ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4",
                        "--x", "0.3,0.6,0.7"], True),
+    ("circuit-sin-d2-n5", ["circuit", "--fn", "prod-sin", "--d", "2", "--n", "5",
+                           "--x", "0.3,0.7"], True),
     ("circuit-readme", ["circuit", "--fn", "prod-quad", "--d", "1", "--n", "2",
                         "--x", "0.3"], False),
     ("circuit-unsupported", ["circuit", "--fn", "prod-quad", "--d", "2", "--n", "2",

@@ -459,6 +459,27 @@ class TestGridCeiling:
         # (2,3,40) is Monte Carlo: no grid, no ceiling
         analysis._norm_grid(analysis._norm_exponent(p), d, n)
 
+    @pytest.mark.parametrize("p, n, points", [
+        ("inf", 16, 2 ** 20 + 1), (2, 16, 2 ** 21), (3, 25, 2 ** 30), ("inf", 25, 2 ** 29 + 1)])
+    def test_d1_axis_above_ceiling_refused(self, p, n, points, monkeypatch):
+        # under MAX_GRID_POINTS, but one axis would hold more than MAX_AXIS_POINTS
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or read before the check")
+
+        assert points <= MAX_GRID_POINTS
+        fn = lambda x: np.zeros(len(x))
+        monkeypatch.setattr(analysis, "_grid_error", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ValueError, match=rf"d=1, n={n} builds an axis of {points:,} points, "
+                                             rf"above the limit of 1,048,576"):
+            lp_error(fn, fn, p, 1, n)
+
+    @pytest.mark.parametrize("p", ["inf", 2])
+    def test_largest_d1_axes_pass_the_check(self, p):
+        axes, _ = analysis._norm_grid(analysis._norm_exponent(p), 1, 15)
+        assert len(axes[0]) <= analysis.MAX_AXIS_POINTS
+
     @pytest.mark.parametrize("n", [0, -1, -5])
     def test_level_below_one_refused(self, n):
         fn = corpus_function("prod-quad", 1)

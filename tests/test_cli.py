@@ -2,13 +2,16 @@
 
 import json
 import math
+import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkorobov import analysis, sparsegrid
+from qkorobov import analysis, cli, sparsegrid
 from qkorobov.cli import build_parser, json_text, main
 
 # the options each subcommand reads and its --format choices, default first
@@ -413,6 +416,15 @@ DOCS = st.recursive(SCALARS, lambda kids: st.one_of(
     st.dictionaries(KEYS, kids, max_size=4)), max_leaves=40)
 
 
+def few_values(dtype) -> np.ndarray:
+    """Eight distinct finite values of ``dtype``: both zeros, both smallest
+    subnormals, a large power of two and three ordinary values."""
+    info = np.finfo(dtype)
+    tiny = float(info.smallest_subnormal)
+    big = 2.0 ** min(70, info.maxexp - 2)  # 2**14 as float16
+    return np.array([0.0, -0.0, tiny, -tiny, big, 0.5, -1 / 3, 0.1], dtype=dtype)
+
+
 class TestJsonWriterMatchesReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(DOCS)
@@ -434,7 +446,8 @@ class TestJsonWriterMatchesReference:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_ndarray_with_non_finite_prints_strings(self, bad):
-        for arr in (np.array([1.0, bad, -0.0]), np.full((40, 40), 0.25)):
+        large = np.random.default_rng(8).choice(few_values(np.float64), size=(10000, 2))
+        for arr in (np.array([1.0, bad, -0.0]), np.full((40, 40), 0.25), large):
             arr[-1, ...] = bad
             assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
 
@@ -450,6 +463,92 @@ class TestJsonWriterMatchesReference:
             if not isinstance(bad, np.ndarray):  # the reference has no ndarray rule
                 with pytest.raises(TypeError):
                     reference_json_text(doc)
+
+    @pytest.mark.parametrize("shape", [(20000,), (10000, 2), (50, 100, 2), (12, 1000)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, ">f8"])
+    def test_large_array_of_few_values(self, shape, dtype):
+        # (12, 1000): too many distinct rows for one integer key per row
+        rng = np.random.default_rng(len(shape))
+        arr = rng.choice(few_values(dtype), size=shape)
+        assert arr.size >= 10 ** 4 and arr.dtype == np.dtype(dtype)
+        assert json_text(arr) == reference_json_text(arr.tolist())
+        assert json_text({"m": [arr]}) == reference_json_text({"m": [arr.tolist()]})
+
+    @pytest.mark.parametrize("shape", [(20000,), (10000, 2), (50, 100, 2)])
+    def test_large_array_of_distinct_values(self, shape):
+        arr = np.random.default_rng(3).standard_normal(shape)
+        assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
+
+    def test_mostly_repeated_with_some_distinct(self):
+        rng = np.random.default_rng(4)
+        arr = rng.choice(few_values(np.float64), size=(8192, 2))
+        arr.flat[::97] = rng.standard_normal(arr.flat[::97].size)
+        assert json_text(arr) == reference_json_text(arr.tolist())
+
+    def test_non_contiguous_and_fortran_order(self):
+        base = np.random.default_rng(5).choice(few_values(np.float64), size=(400, 60))
+        for arr in (base[::2, ::-3], base.T, np.asfortranarray(base), base[:, 7]):
+            assert not arr.flags.c_contiguous or arr.ndim == 1
+            assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
+
+    def test_repeated_array_at_two_depths_and_shapes(self):
+        arr = np.random.default_rng(6).choice(few_values(np.float64), size=(6000, 2))
+        flat = arr.reshape(-1)  # the same bytes under another shape
+        swapped = arr.view(arr.dtype.newbyteorder())  # and under another dtype, same shape
+        assert np.isfinite(swapped).all()
+        doc = {"a": arr, "b": [[arr, {"c": arr}]], "d": flat, "e": swapped, "f": arr}
+        want = {"a": arr.tolist(), "b": [[arr.tolist(), {"c": arr.tolist()}]],
+                "d": flat.tolist(), "e": swapped.tolist(), "f": arr.tolist()}
+        assert json_text(doc) == reference_json_text(want)
+
+    def test_no_text_kept_between_documents(self):
+        arr = np.random.default_rng(7).choice(few_values(np.float64), size=(10000, 2))
+        first = json_text({"m": arr, "n": arr})
+        arr[::3] = 0.25  # the same object, shape and dtype, other values
+        tracemalloc.start()
+        try:
+            second = json_text({"m": arr, "n": arr})
+            # what the call left allocated beyond the text it returned
+            retained = tracemalloc.get_traced_memory()[0] - sys.getsizeof(second)
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024  # the array's text alone is 0.25 MB
+        assert first != second
+        assert second == reference_json_text({"m": arr.tolist(), "n": arr.tolist()})
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--fn", "prod-quad", "--d", "1", "--n", "3", "--x", "0.3"],  # CSV
+        ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4", "--x", "0.3,0.6,0.7"],  # JSON
+    ])
+    def test_missing_directory_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        monkeypatch.setattr(sparsegrid, "surplus_coefficients", refuse)
+        out = tmp_path / "missing" / "x.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write --out {out}: no directory {out.parent}" in err
+        assert "Traceback" not in err and not out.parent.exists()
+
+    def test_directory_as_out_is_config_error(self, tmp_path, capsys):
+        argv = ["eval", "--fn", "prod-quad", "--d", "1", "--n", "2", "--x", "0.3"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"cannot write --out {tmp_path}: it is a directory" in capsys.readouterr().err
+
+    def test_failed_write_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def failing_open(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        out = tmp_path / "full.json"
+        argv = ["circuit", "--fn", "prod-quad", "--d", "1", "--n", "2", "--x", "0.3"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert (f"error: cannot write --out {out}: No space left on device"
+                in capsys.readouterr().err)
 
 
 class TestPlumbing:
@@ -687,6 +786,25 @@ class TestInputChecks:
                              tmp_path, "seed.csv")
         assert (code, data) == (2, b"")
         assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["circuit", "--fn", "prod-quad", "--d", "2", "--n", "30", "--x", "0.3,0.4"],
+        ["eval", "--fn", "zero", "--d", "12", "--n", "30", "--x", ",".join(["0.3"] * 12)],
+    ])
+    def test_surplus_build_above_ceiling_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         argv):
+        # refused before the levels are listed, let alone a node array built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the check")
+
+        monkeypatch.setattr(sparsegrid, "enumerate_levels", refuse)
+        start = time.perf_counter()
+        code, data = run_cli(argv, tmp_path, "big.out")
+        assert time.perf_counter() - start < 1.0
+        assert (code, data) == (2, b"")
+        err = capsys.readouterr().err
+        assert f"d={argv[4]}, n=30 evaluates f on " in err
+        assert "face points, above the limit of 16,777,216 points" in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--fn", "prod-quad", "--d", "3", "--p", "2", "--n-range", "6..6"],

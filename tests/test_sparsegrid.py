@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,49 @@ class TestEnumeration:
     def test_grid_count_d1_closed_form(self):
         for n in range(1, 13):
             assert grid_count(n, 1) == 2 ** n - 1
+
+    def test_grid_count_is_the_level_sum(self):
+        for n in range(1, 8):
+            for d in range(1, 6):
+                levels = enumerate_levels(n, d)
+                assert grid_count(n, d) == sum(2 ** (sum(l) - d) for l in levels)
+
+    @pytest.mark.parametrize("n, d", [(0, 1), (1, 0), (-2, 3)])
+    def test_grid_count_rejects_level_below_one(self, n, d):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            grid_count(n, d)
+
+
+class TestSurplusCeiling:
+    """A surplus build above MAX_SURPLUS_POINTS points is refused before it starts."""
+
+    @pytest.mark.parametrize("n, d, nodes, faces", [
+        (17, 3, 17_956_863, 12_582_918),
+        (20, 2, 19_922_945, 4_194_300),
+        (24, 1, 16_777_215, 2),
+        (30, 2, 31_138_512_897, 4_294_967_292),
+    ])
+    def test_refused_with_its_counts(self, n, d, nodes, faces, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built or evaluated before the check")
+
+        monkeypatch.setattr(sparsegrid, "enumerate_levels", refuse)
+        assert nodes == grid_count(n, d) and nodes + faces > sparsegrid.MAX_SURPLUS_POINTS
+        with pytest.raises(ValueError, match=rf"d={d}, n={n} evaluates f on {nodes:,} nodes "
+                                             rf"\+ {faces:,} face points, above the limit"):
+            surplus_coefficients(refuse, n, d)
+
+    def test_large_n_and_d_refused_at_once(self, monkeypatch):
+        monkeypatch.setattr(sparsegrid, "enumerate_levels", None)
+        start = time.perf_counter()
+        for n, d in [(30, 12), (40, 1000), (10 ** 6, 1)]:
+            with pytest.raises(ValueError, match="above the limit of 16,777,216 points"):
+                surplus_coefficients(None, n, d)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n, d", [(16, 3), (19, 2), (23, 1), (8, 4)])
+    def test_largest_builds_pass_the_check(self, n, d):
+        sparsegrid._check_surplus_size(n, d)  # d=3, n=16: 7.9 M nodes
 
 
 class TestSurplusCoefficients:
