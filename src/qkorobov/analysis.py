@@ -23,7 +23,8 @@ one axis at a time: each factor of the mixed derivative's ``factors`` is
 summed over the two-cell Gauss rule of every node's support, and a level's
 values are the outer product of its d axis vectors, so no d-dimensional
 point array is built.  At d = 1 any callable is its own factor; at d >= 2 a
-derivative without ``factors`` is refused.
+derivative without ``factors`` is refused.  The audit's results are float
+columns aligned with the map's coefficient column, and so is the gap's oracle.
 
 Resource bounds implement the epsilon-complexity formulas with every big-O
 constant set to 1; outputs are relative units good for ordering and
@@ -48,9 +49,9 @@ from .sparsegrid import (
     chebyshev_expansion,
     gauss_legendre,
     grid_count,
-    index_set,
     integral_coefficient,  # re-exported: part of this module's interface
-    integral_coefficients,
+    integral_column,
+    _nodes_at,
     _support_sums,
     surplus_coefficients,
 )
@@ -451,38 +452,32 @@ def convergence_study(func: KorobovTestFunction, p, n_range: Sequence[int],
 # ---------------------------------------------------------------------------
 # coefficient bound audit
 
-@dataclass
-class CoefficientCheck:
-    source: GridIndex
-    value: float
-    bound_inf: float
-    bound_2: float
-
-    @staticmethod
-    def _ratio(value: float, bound: float) -> float:
-        if bound == 0.0:
-            # vacuous for the zero function, violation otherwise
-            return 0.0 if value == 0.0 else math.inf
-        return abs(value) / bound
-
-    @property
-    def ratio_inf(self) -> float:
-        return self._ratio(self.value, self.bound_inf)
-
-    @property
-    def ratio_2(self) -> float:
-        return self._ratio(self.value, self.bound_2)
-
-
-@dataclass
+@dataclass(eq=False)
 class AuditReport:
+    """Both decay bounds of every surplus, as float columns aligned with ``smap.coefficients``.
+
+    ``values`` are the scaled surpluses and a ratio is |value| / bound.
+    ``violations`` holds (node, "inf" or "2", ratio) for each ratio above
+    1 + 1e-12, in storage order with inf before 2 for a node.
+    """
+
     function: str
     d: int
     n: int
-    checks: list[CoefficientCheck]
-    max_ratio_inf: float
-    max_ratio_2: float
+    values: np.ndarray
+    bound_inf: np.ndarray
+    bound_2: np.ndarray
+    ratio_inf: np.ndarray
+    ratio_2: np.ndarray
     violations: list[tuple[GridIndex, str, float]]
+
+    @property
+    def max_ratio_inf(self) -> float:
+        return float(self.ratio_inf.max())
+
+    @property
+    def max_ratio_2(self) -> float:
+        return float(self.ratio_2.max())
 
     @property
     def passed(self) -> bool:
@@ -513,45 +508,35 @@ def coefficient_bound_audit(func: KorobovTestFunction, smap: SurplusMap,
     for forcing violations.  Bounds:
       |v| <= 2^(-d - 2||l||_1) * |f|_{2,inf}
       |v| <= 2^(-d) (2/3)^(d/2) 2^(-1.5||l||_1) * |f restricted to supp|_{2,2}
+    Each level's factors are Python floats, so the columns hold the bits of a
+    node-by-node loop.  A zero bound is vacuous for a zero value only.
     """
     _check_map(func, smap)
     if not math.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale!r}")
     d = func.d
-    checks = []
-    violations = []
-    for level in smap.levels():
-        l1 = sum(level)
-        bound_inf = 2.0 ** (-d - 2 * l1) * func.seminorm_inf
-        seminorms = local_seminorms_2(func.mixed_derivative, level).tolist()
-        values = (smap.level_values(level) * scale).tolist()
-        for g, value, seminorm in zip(index_set(level), values, seminorms):
-            bound_2 = 2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1) * seminorm
-            check = CoefficientCheck(g, value, bound_inf, bound_2)
-            checks.append(check)
-            if check.ratio_inf > 1.0 + 1e-12:
-                violations.append((g, "inf", check.ratio_inf))
-            if check.ratio_2 > 1.0 + 1e-12:
-                violations.append((g, "2", check.ratio_2))
-    return AuditReport(
-        function=func.name,
-        d=d,
-        n=smap.n,
-        checks=checks,
-        max_ratio_inf=max((c.ratio_inf for c in checks), default=0.0),
-        max_ratio_2=max((c.ratio_2 for c in checks), default=0.0),
-        violations=violations,
-    )
+    levels = smap.levels()
+    bounds = np.repeat([(2.0 ** (-d - 2 * sum(l)) * func.seminorm_inf,
+                         2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * sum(l)))
+                        for l in levels], [1 << (sum(l) - d) for l in levels], axis=0)
+    bounds[:, 1] *= np.concatenate([local_seminorms_2(func.mixed_derivative, l) for l in levels])
+    values = smap.coefficients * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(bounds == 0.0, np.where(values[:, None] == 0.0, 0.0, np.inf),
+                          np.abs(values)[:, None] / bounds)
+    position, which = np.nonzero(ratios > 1.0 + 1e-12)  # row-major: inf before 2 per node
+    nodes = _nodes_at(smap.n, d, position)
+    violations = [(g, ("inf", "2")[w], ratio) for g, w, ratio in
+                  zip(nodes, which.tolist(), ratios[position, which].tolist())]
+    return AuditReport(func.name, d, smap.n, values, bounds[:, 0], bounds[:, 1],
+                       ratios[:, 0], ratios[:, 1], violations)
 
 
 def dual_oracle_gap(func: KorobovTestFunction, smap: SurplusMap) -> float:
     """Max |stencil surplus of ``smap`` - integral-formula surplus of ``func``|."""
     _check_map(func, smap)
-    gap = 0.0
-    for level in smap.levels():
-        quadrature = integral_coefficients(func.mixed_derivative, level)
-        gap = max(gap, float(np.abs(smap.level_values(level) - quadrature).max()))
-    return gap
+    quadrature = integral_column(func.mixed_derivative, smap.n, smap.d)
+    return float(np.abs(smap.coefficients - quadrature).max())
 
 
 # ---------------------------------------------------------------------------

@@ -338,8 +338,7 @@ def cmd_coeffs(args) -> int:
     smap = sparsegrid.surplus_coefficients(func.f, n, func.d)
     doc = smap.to_json_dict()
     if args.quadrature:
-        quadrature = [q for level in smap.levels() for q in
-                      sparsegrid.integral_coefficients(func.mixed_derivative, level).tolist()]
+        quadrature = sparsegrid.integral_column(func.mixed_derivative, n, func.d).tolist()
         for entry, q in zip(doc["entries"], quadrature):
             entry["quadrature"] = q
     doc["function"] = func.name
@@ -482,9 +481,8 @@ def cmd_audit(args) -> int:
         raise ConfigError("--n must be at least 1")
     funcs = [
         fn for fn in analysis.corpus()
-        if fn.d <= 2
+        if (fn.d <= 2 if args.d is None else fn.d == args.d)
         and (args.fn is None or fn.name == args.fn)
-        and (args.d is None or fn.d == args.d)
     ]
     if not funcs:
         raise ConfigError("no corpus function matches the audit filter")

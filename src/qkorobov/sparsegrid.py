@@ -19,7 +19,8 @@ O(d N) and the memory O(N).  The zero boundary is checked, not assumed:
 boundary points the stencil reads, so the build costs N plus
 2d * grid_count(n, d - 1) evaluations of ``f``.  The integral
 representation of the coefficients (hat kernel against the order-2d mixed
-derivative) is kept in ``integral_coefficients`` (one level at a time) and
+derivative) is kept in ``integral_coefficients`` (one level at a time; all
+of them in storage order with ``integral_column``) and
 ``integral_coefficient`` (one node) purely as an independent check, as
 products of one 1-D sum per axis of the derivative's ``factors``.
 
@@ -31,7 +32,7 @@ A ``SurplusMap`` stores each coefficient once, in one read-only column in
 storage order: levels in ``enumerate_levels`` order, cells in C order, where
 cell c holds the node with odd index 2c + 1.  Each level's array is a view
 of the column, and ``_level_layout`` is the one place that computes the
-order.  GridIndex nodes are built only when a caller asks for them.
+order (``_nodes_at`` inverts it).  GridIndex nodes are built on demand.
 ``SurplusMap(d, n, coefficients)`` is the one constructor, which
 ``surplus_coefficients`` (hierarchizing in place through the views) and
 ``from_json_dict`` (numpy columns of level, index and value) both end in:
@@ -39,8 +40,9 @@ it checks the column once and keeps it read-only, without a copy.  Every
 read locates its hats with one kernel, ``_axis_cells``: for a coordinate x
 and a level l it gives the cell of the one hat whose support holds x, the
 hat value 1 - |u| and the local coordinate u in [-1, 1].  ``evaluate`` is
-a one-row ``evaluate_batch``; ``grid_rows`` (behind ``evaluate_grid``) and
-``chebyshev_expansion`` read the same per-(axis, level) table.  For a point
+a one-row ``evaluate_batch``; it (per row block) and ``grid_rows`` (behind
+``evaluate_grid``) read one ``_cell_table`` of every (axis, level), and
+``chebyshev_expansion`` a (d, n) table of its one point.  For a point
 inside the supports, each per-coordinate hat splits into Chebyshev
 polynomials of degree 0 and 1, 1 -/+ u = P0(u) -/+ P1(u).
 ``chebyshev_expansion`` emits these terms for the circuit pipeline as one
@@ -67,10 +69,10 @@ Level = tuple[int, ...]
 
 # a face value of f counts as non-zero above this share of max |f(nodes)|
 BOUNDARY_TOLERANCE = 1e-12
-# rows per block of ``SurplusMap.evaluate_batch``: 64 KiB per float temporary,
-# which stays in cache (4,096 and 16,384 rows were slower at d=3, n=8 on a
-# 2-vCPU x86 host)
-BATCH_ROWS = 8192
+# rows per block of ``SurplusMap.evaluate_batch`` and its cell table: at d=3, n=8
+# on a 2-vCPU x86 host, the ``hierarchize`` peak RSS was 45.3 MiB with the old
+# prefix-tree walk, 47.9 MiB with 8,192-row tables and 46.0 MiB with 4,096 rows
+BATCH_ROWS = 4096
 # values per row block of the tensor-grid pass (``SurplusMap.grid_rows`` and the
 # error norms): 256 KiB per float buffer, reused block after block (2^14 and
 # 2^16 timed the same within noise on the ``verify`` benchmark, 2-vCPU x86 host)
@@ -211,11 +213,11 @@ class SurplusMap:
             raise ValueError(f"{got} entries, but the level-{n} index set holds {count}")
         finite = np.isfinite(column)
         if not finite.all():
-            level, ok = next((l, v) for l, v in _split_levels(finite, n, d).items() if not v.all())
-            cell = np.unravel_index(int(np.argmin(ok)), ok.shape)
+            bad = int(np.argmin(finite))
+            g, = _nodes_at(n, d, [bad])
             raise ValueError(
-                f"coefficient of level {list(level)} index {[2 * int(c) + 1 for c in cell]} "
-                f"is {column[np.argmin(finite)].item()!r}; every coefficient must be finite")
+                f"coefficient of level {list(g.level)} index {list(g.index)} "
+                f"is {column[bad].item()!r}; every coefficient must be finite")
         base = column
         while isinstance(base, np.ndarray):  # a writeable base would reach the cells too
             base.flags.writeable = False
@@ -254,39 +256,30 @@ class SurplusMap:
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorised interpolant values for an (m, d) array of points.
 
-        The level vectors form a prefix tree in ``enumerate_levels`` order.
-        Each (axis, level) cell and hat is computed once per prefix and block
-        of BATCH_ROWS rows, and the running hat product and flat cell index
-        are carried down the tree, so a level vector costs one axis of work.
-        Products and the sum over levels keep the order of a plain per-level
-        loop, so the values equal that loop's bit for bit.
+        Per block of BATCH_ROWS rows, one ``_cell_table`` gives the cell and
+        hat of every (axis, level), freed before the next block's.  Each level
+        of ``_level_layout``, in storage order, gathers its surpluses at the
+        C-order positions of its cells, times its hats multiplied in axis
+        order, so the values equal a plain per-level loop's bit for bit.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise ValueError("points must have shape (m, d)")
         _check_domain(points)
-        arrays, d = self._level_arrays, self.d
+        levels, offsets, _ = _level_layout(self.n, self.d)
+        layout = list(zip(levels.tolist(), offsets.tolist()))
         total = np.zeros(points.shape[0])
-
-        def walk(columns, block, prefix: Level, budget: int, phi, flat):
-            j = len(prefix)
-            for l in range(1, budget - (d - 1 - j) + 1):
-                cell, hat_j = _axis_cells(columns[j], l)[:2]  # u is not held down the walk
-                if j:
-                    phi_l, flat_l = phi * hat_j, flat * 2 ** (l - 1) + cell
-                else:
-                    phi_l, flat_l = hat_j, cell
-                if j + 1 < d:
-                    walk(columns, block, prefix + (l,), budget - l, phi_l, flat_l)
-                else:
-                    coeffs = arrays[prefix + (l,)].reshape(-1)
-                    np.add(block, coeffs[flat_l] * phi_l, out=block)
-
-        # row blocks keep every temporary small enough to stay in cache
         for a in range(0, len(points), BATCH_ROWS):
-            rows = points[a:a + BATCH_ROWS]
-            columns = [np.ascontiguousarray(rows[:, j]) for j in range(d)]
-            walk(columns, total[a:a + BATCH_ROWS], (), self.n + d - 1, None, None)
+            block = total[a:a + BATCH_ROWS]
+            table = _cell_table(np.ascontiguousarray(points[a:a + BATCH_ROWS].T), self.n)
+            for row, offset in layout:
+                position, phi = table[0][row[0]]
+                for j in range(1, self.d):  # C order: Horner over the level's cell counts
+                    cell, hat_j = table[j][row[j]]
+                    position = (position << row[j]) + cell
+                    phi = phi * hat_j
+                np.add(block, self.coefficients[offset:][position] * phi, out=block)
+            del table  # before the next block builds its own
         # a coordinate at 1 leaves the support of every level: add exactly 0.0
         return np.where((points < 1.0).all(axis=1), total, 0.0)
 
@@ -359,7 +352,7 @@ class SurplusMap:
             for l in range(1, budget - (d - 1 - k) + 1):
                 level = prefix + (l,)
                 sub = arrays[level] if k + 1 == d else contract(level, budget - l)
-                cell, hat_k, _ = cells[k][l - 1]
+                cell, hat_k = cells[k][l - 1]
                 target = out if l == 1 else buf
                 # the cells are in range; "clip" lets take write into target unbuffered
                 np.take(sub.reshape(outer, -1, inner), cell, axis=1, out=target, mode="clip")
@@ -376,7 +369,7 @@ class SurplusMap:
             nonlocal scratch
             if not roots:
                 cells.extend(_cell_table(axes, self.n))
-                for l, (cell, hat_0, _) in enumerate(cells[0], 1):
+                for l, (cell, hat_0) in enumerate(cells[0], 1):
                     partial = arrays[(l,)] if d == 1 else contract((l,), self.n + d - 1 - l)
                     roots.append((cell, hat_0, partial.reshape(2 ** (l - 1), inner)))
             if scratch.size < out.size:
@@ -480,8 +473,8 @@ def _axis_cells(x: np.ndarray, l: int):
 
 
 def _cell_table(axes: Sequence[np.ndarray], n: int):
-    """``_axis_cells`` of every axis and level: entry [j][l - 1] holds level l on axis j."""
-    return [[_axis_cells(a, l) for l in range(1, n + 1)] for a in axes]
+    """Cell and hat of every axis and level: entry [j][l - 1] holds level l on axis j."""
+    return [[_axis_cells(a, l)[:2] for l in range(1, n + 1)] for a in axes]
 
 
 @functools.lru_cache(maxsize=None)
@@ -499,6 +492,20 @@ def _level_layout(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for table in (levels, offsets, shifts):
         table.flags.writeable = False
     return levels, offsets, shifts
+
+
+def _nodes_at(n: int, d: int, positions) -> list[GridIndex]:
+    """The nodes at ``positions`` of a level-n column: ``_level_layout`` inverted.
+
+    Position p is in the last level k with offsets[k] <= p, and its cell on
+    axis j is the l_j - 1 bits of p - offsets[k] from bit shifts[k, j] up.
+    """
+    levels, offsets, shifts = _level_layout(n, d)
+    positions = np.asarray(positions, dtype=np.int64)
+    k = np.searchsorted(offsets, positions, side="right") - 1
+    cells = ((positions - offsets[k])[:, None] >> shifts[k]) & ((1 << levels[k]) - 1)
+    return [GridIndex._trusted(tuple(level), tuple(index))
+            for level, index in zip((levels[k] + 1).tolist(), (2 * cells + 1).tolist())]
 
 
 def _level_nodes(level: Level) -> np.ndarray:
@@ -697,6 +704,12 @@ def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
     axis.  Returns one value per node, in ``index_set`` order.
     """
     return _support_sums(mixed_derivative, level, indices, SURPLUS_NODES_PER_CELL, kernel=True)
+
+
+def integral_column(mixed_derivative: Callable, n: int, d: int) -> np.ndarray:
+    """``integral_coefficients`` of every level, as one column in storage order (check oracle)."""
+    return np.concatenate([integral_coefficients(mixed_derivative, level)
+                           for level in enumerate_levels(n, d)])
 
 
 def integral_coefficient(mixed_derivative: Callable, g: GridIndex) -> float:

@@ -137,7 +137,7 @@ def test_05_coefficient_bounds():
                 assert report.passed, report.violations
         quad1 = corpus_function("prod-quad", 1)
         witness = coefficient_bound_audit(quad1, surplus_coefficients(quad1.f, 1, 1))
-        ratio = witness.checks[0].ratio_inf
+        ratio = witness.ratio_inf[0]
         assert abs(ratio - 1.0) <= 1e-12
 
 

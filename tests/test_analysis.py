@@ -84,6 +84,31 @@ def reference_violations(fn, n, scale):
     return out
 
 
+def scalar_audit(fn, smap, scale):
+    """The audit by a plain loop over nodes: per-node columns and the violation list.
+
+    The bounds of one node are Python floats, in the order the docstring of
+    ``coefficient_bound_audit`` writes them, so the columnar audit must agree
+    with this loop bit for bit.
+    """
+    d, rows, violations = fn.d, [], []
+    for level in smap.levels():
+        l1 = sum(level)
+        bound_inf = 2.0 ** (-d - 2 * l1) * fn.seminorm_inf
+        seminorms = local_seminorms_2(fn.mixed_derivative, level).tolist()
+        values = (smap.level_values(level) * scale).tolist()
+        for g, value, seminorm in zip(index_set(level), values, seminorms):
+            bound_2 = 2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1) * seminorm
+            ratios = []
+            for which, bound in (("inf", bound_inf), ("2", bound_2)):
+                ratio = abs(value) / bound if bound else (0.0 if value == 0.0 else math.inf)
+                if ratio > 1.0 + 1e-12:
+                    violations.append((g, which, ratio))
+                ratios.append(ratio)
+            rows.append((value, bound_inf, bound_2, *ratios))
+    return rows, violations
+
+
 def reference_grid(smap, axes):
     """The interpolant on a tensor grid, point by point."""
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.d)
@@ -607,11 +632,12 @@ def quad1_map(n):
 
 class TestCoefficientAudit:
     def test_equality_witness(self):
-        report = coefficient_bound_audit(*quad1_map(2))
-        by_index = {c.source: c for c in report.checks}
-        assert by_index[GridIndex((1,), (1,))].ratio_inf == pytest.approx(1.0, abs=1e-12)
+        fn, smap = quad1_map(2)
+        report = coefficient_bound_audit(fn, smap)
+        by_index = {g: ratio for (g, _), ratio in zip(smap.items(), report.ratio_inf.tolist())}
+        assert by_index[GridIndex((1,), (1,))] == pytest.approx(1.0, abs=1e-12)
         # level 2: |v| = 1/16 vs 2^-5 * 2
-        assert by_index[GridIndex((2,), (1,))].ratio_inf == pytest.approx(1.0, abs=1e-12)
+        assert by_index[GridIndex((2,), (1,))] == pytest.approx(1.0, abs=1e-12)
 
     def test_corpus_passes(self):
         for fn in corpus():
@@ -643,6 +669,32 @@ class TestCoefficientAudit:
         report = coefficient_bound_audit(zero, surplus_coefficients(zero.f, 2, 1))
         assert report.passed
         assert report.max_ratio_inf == 0.0
+
+    @pytest.mark.parametrize("scale", [1.1, 3.0])
+    def test_columns_equal_scalar_loop(self, scale):
+        from qkorobov.analysis import KorobovTestFunction
+
+        quad = corpus_function("prod-quad", 1)
+        # zero bounds: vacuous for the zero function, a violation of every node otherwise
+        flat = KorobovTestFunction("flat", 1, quad.f, lambda X: np.zeros(len(X)), 0.0, 0.0)
+        zero = KorobovTestFunction("zero", 1, lambda X: np.zeros(len(X)),
+                                   lambda X: np.zeros(len(X)), 0.0, 0.0)
+        cases = [(fn, n) for fn in corpus() if fn.d <= 2 for n in range(1, 5)]
+        cases += [(corpus_function("prod-quad", 3), n) for n in range(1, 4)]
+        cases += [(flat, 3), (zero, 3)]
+        for fn, n in cases:
+            smap = surplus_coefficients(fn.f, n, fn.d)
+            report = coefficient_bound_audit(fn, smap, scale=scale)
+            rows, violations = scalar_audit(fn, smap, scale)
+            columns = (report.values, report.bound_inf, report.bound_2,
+                       report.ratio_inf, report.ratio_2)
+            for got, want in zip(columns, np.array(rows).T):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert report.violations == violations, (fn.name, fn.d, n)
+            assert report.max_ratio_inf == max(r[3] for r in rows)
+            assert report.max_ratio_2 == max(r[4] for r in rows)
+            if fn.name in ("flat", "zero"):
+                assert (report.ratio_2 == (math.inf if fn is flat else 0.0)).all()
 
     def test_map_of_other_dimension_rejected(self):
         fn = corpus_function("prod-quad", 2)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import sys
 import time
 import tracemalloc
@@ -312,6 +313,31 @@ class TestAudit:
         offending = doc["reports"][0]["violations"] or doc["reports"][1]["violations"]
         assert offending[0]["level"] == [1]
 
+    def test_d3_member_on_request(self, tmp_path):
+        code, data = run_cli(["audit", "--fn", "prod-quad", "--d", "3", "--n", "4"],
+                             tmp_path, "audit-d3.json")
+        assert code == 0
+        doc = json.loads(data)
+        assert doc["pass"] is True
+        assert [(r["function"], r["d"], r["n"]) for r in doc["reports"]] == [
+            ("prod-quad", 3, n) for n in range(1, 5)]
+
+    def test_d3_scaled_coefficients_fail(self, tmp_path):
+        code, data = run_cli(["audit", "--fn", "prod-quad", "--d", "3", "--n", "4",
+                              "--scale-coeffs", "1.1"], tmp_path, "audit-d3-bad.json")
+        assert code == 3
+        doc = json.loads(data)
+        assert doc["pass"] is False
+        violations = [v for r in doc["reports"] for v in r["violations"]]
+        assert violations and all(len(v["level"]) == len(v["index"]) == 3 for v in violations)
+
+    def test_default_set_stays_d_at_most_2(self, tmp_path):
+        code, data = run_cli(["audit", "--n", "2"], tmp_path, "audit-default.json")
+        assert code == 0
+        members = [(fn.name, fn.d) for fn in analysis.corpus() if fn.d <= 2]
+        reports = json.loads(data)["reports"]
+        assert [(r["function"], r["d"]) for r in reports] == [m for m in members for _ in (1, 2)]
+
 
 class TestCircuitTrace:
     def test_trace_shape(self, tmp_path):
@@ -416,6 +442,21 @@ DOCS = st.recursive(SCALARS, lambda kids: st.one_of(
     st.dictionaries(KEYS, kids, max_size=4)), max_leaves=40)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Exact equality of two texts, failing with a short window round the first difference.
+
+    A mismatch reports the lengths, the first differing offset and 120
+    characters of each text round it, before pytest's rewritten ``==`` could
+    diff two texts of 0.25-0.5 MB, which can run for minutes.
+    """
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        near = slice(max(0, at - 60), at + 60)
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ from offset "
+                    f"{at}: got ...{got[near]!r}..., want ...{want[near]!r}...")
+    assert got == want
+
+
 def few_values(dtype) -> np.ndarray:
     """Eight distinct finite values of ``dtype``: both zeros, both smallest
     subnormals, a large power of two and three ordinary values."""
@@ -429,7 +470,7 @@ class TestJsonWriterMatchesReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(DOCS)
     def test_nested_docs(self, doc):
-        assert json_text(doc) == reference_json_text(doc)
+        assert_same_text(json_text(doc), reference_json_text(doc))
 
     @pytest.mark.parametrize("shape", [(), (0,), (3,), (4, 2), (2, 2, 2), (3, 0), (700, 2)])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -441,15 +482,15 @@ class TestJsonWriterMatchesReference:
             arr.flat[::7] = rng.standard_normal(arr.flat[::7].size)
         doc = {"a": arr, "nested": [arr, {"b": arr}]}
         want = {"a": arr.tolist(), "nested": [arr.tolist(), {"b": arr.tolist()}]}
-        assert json_text(doc) == reference_json_text(want)
-        assert json_text(arr) == reference_json_text(arr.tolist())
+        assert_same_text(json_text(doc), reference_json_text(want))
+        assert_same_text(json_text(arr), reference_json_text(arr.tolist()))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_ndarray_with_non_finite_prints_strings(self, bad):
         large = np.random.default_rng(8).choice(few_values(np.float64), size=(10000, 2))
         for arr in (np.array([1.0, bad, -0.0]), np.full((40, 40), 0.25), large):
             arr[-1, ...] = bad
-            assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
+            assert_same_text(json_text({"m": arr}), reference_json_text({"m": arr.tolist()}))
 
     @pytest.mark.parametrize("bad", [
         {1, 2}, object(), np.array([1, 2]), np.array([1j]), np.bool_(True), {(1, 2): 0},
@@ -471,25 +512,25 @@ class TestJsonWriterMatchesReference:
         rng = np.random.default_rng(len(shape))
         arr = rng.choice(few_values(dtype), size=shape)
         assert arr.size >= 10 ** 4 and arr.dtype == np.dtype(dtype)
-        assert json_text(arr) == reference_json_text(arr.tolist())
-        assert json_text({"m": [arr]}) == reference_json_text({"m": [arr.tolist()]})
+        assert_same_text(json_text(arr), reference_json_text(arr.tolist()))
+        assert_same_text(json_text({"m": [arr]}), reference_json_text({"m": [arr.tolist()]}))
 
     @pytest.mark.parametrize("shape", [(20000,), (10000, 2), (50, 100, 2)])
     def test_large_array_of_distinct_values(self, shape):
         arr = np.random.default_rng(3).standard_normal(shape)
-        assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
+        assert_same_text(json_text({"m": arr}), reference_json_text({"m": arr.tolist()}))
 
     def test_mostly_repeated_with_some_distinct(self):
         rng = np.random.default_rng(4)
         arr = rng.choice(few_values(np.float64), size=(8192, 2))
         arr.flat[::97] = rng.standard_normal(arr.flat[::97].size)
-        assert json_text(arr) == reference_json_text(arr.tolist())
+        assert_same_text(json_text(arr), reference_json_text(arr.tolist()))
 
     def test_non_contiguous_and_fortran_order(self):
         base = np.random.default_rng(5).choice(few_values(np.float64), size=(400, 60))
         for arr in (base[::2, ::-3], base.T, np.asfortranarray(base), base[:, 7]):
             assert not arr.flags.c_contiguous or arr.ndim == 1
-            assert json_text({"m": arr}) == reference_json_text({"m": arr.tolist()})
+            assert_same_text(json_text({"m": arr}), reference_json_text({"m": arr.tolist()}))
 
     def test_repeated_array_at_two_depths_and_shapes(self):
         arr = np.random.default_rng(6).choice(few_values(np.float64), size=(6000, 2))
@@ -499,7 +540,7 @@ class TestJsonWriterMatchesReference:
         doc = {"a": arr, "b": [[arr, {"c": arr}]], "d": flat, "e": swapped, "f": arr}
         want = {"a": arr.tolist(), "b": [[arr.tolist(), {"c": arr.tolist()}]],
                 "d": flat.tolist(), "e": swapped.tolist(), "f": arr.tolist()}
-        assert json_text(doc) == reference_json_text(want)
+        assert_same_text(json_text(doc), reference_json_text(want))
 
     def test_no_text_kept_between_documents(self):
         arr = np.random.default_rng(7).choice(few_values(np.float64), size=(10000, 2))
@@ -514,7 +555,7 @@ class TestJsonWriterMatchesReference:
             tracemalloc.stop()
         assert retained < 64 * 1024  # the array's text alone is 0.25 MB
         assert first != second
-        assert second == reference_json_text({"m": arr.tolist(), "n": arr.tolist()})
+        assert_same_text(second, reference_json_text({"m": arr.tolist(), "n": arr.tolist()}))
 
 
 class TestOutPath:

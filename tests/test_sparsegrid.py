@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -563,6 +564,34 @@ class TestInterpolant:
         np.testing.assert_array_equal(got, reference_evaluate_batch(s, pts))
         assert got[BATCH_ROWS - 1] == 0.0
 
+    @pytest.mark.parametrize("rows", [1, 5, BATCH_ROWS])
+    @pytest.mark.parametrize("kind", ["quad", "sin", "aniso"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_in_any_block_size(self, monkeypatch, rows, kind, d):
+        s = corpus_map(kind, 4, d)
+        pts = np.random.default_rng(d).random((3 * rows + 2, d))
+        # a coordinate at 1.0 inside every block (every other row for one-row blocks)
+        for k in range(rows // 2, len(pts), max(rows, 2)):
+            pts[k, k % d] = 1.0
+        want = reference_evaluate_batch(s, pts)
+        monkeypatch.setattr(sparsegrid, "BATCH_ROWS", rows)
+        got = s.evaluate_batch(pts)
+        assert exact(got) == exact(want)
+        assert (got[(pts == 1.0).any(axis=1)] == 0.0).all()
+
+    def test_batch_memory_is_bounded(self):
+        # one cell table of BATCH_ROWS rows at a time, freed before the next block's
+        s = corpus_map("quad", 8, 3)
+        pts = np.random.default_rng(0).random((65536, 3))
+        s.evaluate_batch(pts)
+        tracemalloc.start()
+        try:
+            s.evaluate_batch(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2 ** 20
+
     def test_batch_handles_grid_points(self):
         s = surplus_coefficients(PROD_QUAD_1, 3, 1)
         pts = np.linspace(0.0, 1.0, 17)[:, None]
@@ -1112,6 +1141,16 @@ class TestLevelArrayStorage:
                 cells = np.argwhere(np.ones(s._level_arrays[level].shape, dtype=bool))
                 got = flat[offsets[k] + (cells << shifts[k]).sum(axis=1)]
                 assert np.array_equal(got, s.level_values(level))
+
+    @pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 4)])
+    def test_position_names_its_node(self, d, n):
+        s = surplus_coefficients(aniso(d).f, n, d)
+        nodes = [g for level in enumerate_levels(n, d) for g in index_set(level)]
+        assert [g for g, _ in s.items()] == nodes
+        assert sparsegrid._nodes_at(n, d, np.arange(len(s))) == nodes
+        for position, g in enumerate(nodes):
+            assert sparsegrid._nodes_at(n, d, [position]) == [g]
+            assert s[g] == s.coefficients[position]
 
     def test_node_beyond_level_n_is_missing(self):
         s = surplus_coefficients(PROD_QUAD_2, 2, 2)
