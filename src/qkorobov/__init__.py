@@ -6,11 +6,9 @@ from .simulator import (
     ResourceReport,
     Statevector,
     circuit_unitary,
-    controlled,
     expectation_z_first,
     resource_report,
     run_circuit,
-    shifted,
 )
 from .qsp import (
     bind_signal,

@@ -76,10 +76,8 @@ from .simulator import (
     ResourceReport,
     Statevector,
     check_dense,
-    controlled,
     expectation_z_first,
     run_circuit,
-    shifted,
     unitarity_errors,
 )
 from .sparsegrid import SurplusMap, chebyshev_expansion
@@ -288,7 +286,11 @@ def assemble_lcu(plan: LcuPlan) -> Circuit:
 def hadamard_test_circuit(target: Circuit) -> Circuit:
     """One-ancilla interferometer for Re<0|target|0>, ancilla in front."""
     h = Gate(HADAMARD, targets=(0,), label="h")
-    body = [controlled(shifted(op, 1), control=0) for op in target.ops]
+    # each op moved up one qubit and controlled on qubit 0 in one gate: after
+    # the move no op touches qubit 0, so the wiring stays disjoint
+    body = [Gate._trusted(op.matrix, tuple([q + 1 for q in op.targets]),
+                          (0, *[q + 1 for q in op.controls]), (1, *op.control_values), op.label)
+            for op in target.ops]
     return Circuit(target.width + 1, [h, *body, h])
 
 

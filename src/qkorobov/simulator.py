@@ -15,10 +15,9 @@ Conventions used throughout the package:
   constructor checks unitarity and freezes its own copy.  A 2x2 is checked
   by ``unitarity_errors``, the entries of U^dag U - I in closed form for a
   whole stack of 2x2s at once, which ``lcu.LcuPlan`` applies to its block
-  array too.  Gates derived from a checked gate (``shifted``,
-  ``controlled``, a +-1 sign, an adjoint) reuse that read-only matrix
-  without a second dense check; the role and width checks still run where
-  they can fail.
+  array too.  Gates derived from a checked gate (moved to other qubits,
+  given more controls, a +-1 sign, an adjoint) reuse that read-only matrix
+  through ``Gate._trusted``, without a second dense check.
 * ``Circuit`` is read-only: a width and a tuple of gates, checked in one
   pass when it is built, so a builder collects its ops first.
 * Simulation is exact and dense.  One rule decides what may be allocated
@@ -151,29 +150,6 @@ class Gate:
 
     def touched(self) -> tuple[int, ...]:
         return self.targets + self.controls
-
-
-def controlled(op: Gate, control: int, value: int = 1) -> Gate:
-    """Condition ``op`` on one extra control qubit."""
-    if control in op.touched():
-        raise ValueError(f"control {control} already used by the op")
-    if control < 0 or value not in (0, 1):
-        raise ValueError(f"control {control} with value {value} is not a qubit and a bit")
-    return Gate._trusted(op.matrix, op.targets, (control,) + op.controls,
-                         (value,) + op.control_values, op.label)
-
-
-def shifted(op: Gate, offset: int) -> Gate:
-    """Translate every qubit index of ``op`` by ``offset``."""
-    if min(op.touched(), default=0) + offset < 0:
-        raise ValueError(f"offset {offset} moves the op below qubit 0")
-    return Gate._trusted(
-        op.matrix,
-        tuple(q + offset for q in op.targets),
-        tuple(q + offset for q in op.controls),
-        op.control_values,
-        op.label,
-    )
 
 
 @dataclass(frozen=True)

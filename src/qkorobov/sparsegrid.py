@@ -280,8 +280,8 @@ class SurplusMap:
                     phi = phi * hat_j
                 np.add(block, self.coefficients[offset:][position] * phi, out=block)
             del table  # before the next block builds its own
-        # a coordinate at 1 leaves the support of every level: add exactly 0.0
-        return np.where((points < 1.0).all(axis=1), total, 0.0)
+        # a coordinate at 1 has hat +0.0 at every level, so its row sums +-0.0 onto +0.0
+        return total
 
     def evaluate_grid(self, axes: Sequence[np.ndarray], rows: slice | None = None,
                       out: np.ndarray | None = None, read=None) -> np.ndarray:

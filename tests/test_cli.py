@@ -1,5 +1,8 @@
 """End-to-end command-line behaviour: outputs, determinism, exit codes."""
 
+import contextlib
+import enum
+import io
 import json
 import math
 import os
@@ -7,6 +10,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -466,6 +470,11 @@ def few_values(dtype) -> np.ndarray:
     return np.array([0.0, -0.0, tiny, -tiny, big, 0.5, -1 / 3, 0.1], dtype=dtype)
 
 
+class Shade(enum.IntEnum):
+    LIGHT = 1
+    DARK = 2
+
+
 class TestJsonWriterMatchesReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(DOCS)
@@ -556,6 +565,120 @@ class TestJsonWriterMatchesReference:
         assert retained < 64 * 1024  # the array's text alone is 0.25 MB
         assert first != second
         assert_same_text(second, reference_json_text({"m": arr.tolist(), "n": arr.tolist()}))
+
+    @pytest.mark.parametrize("ints", [
+        [1, True, 2], [False], [np.int64(3), 4], [np.int64(-7)], [Shade.DARK, 2], [Shade.LIGHT],
+        [1, 2.0], [0, -5, 10 ** 30], [2, None],
+    ])
+    def test_int_lists_with_other_values(self, ints):
+        # only a list of plain ints takes the one-join path; the rest writes value by value
+        for doc in (ints, {"a": ints, "b": [ints, []]}, tuple(ints)):
+            assert_same_text(json_text(doc), reference_json_text(doc))
+
+
+def as_iterators(obj):
+    """``obj`` with every list and tuple in it turned into an iterator of its items."""
+    if isinstance(obj, dict):
+        return {key: as_iterators(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return iter([as_iterators(value) for value in obj])
+    return obj
+
+
+class CountingStream(io.StringIO):
+    """A text stream that counts the ``writelines`` calls it takes."""
+
+    calls = 0
+
+    def writelines(self, lines):
+        self.calls += 1
+        super().writelines(lines)
+
+
+class TestStreamedWriter:
+    """``json_text(doc, stream)`` writes the text ``json_text(doc)`` returns."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(DOCS)
+    def test_stream_gets_the_text(self, doc):
+        want = json_text(doc)
+        stream = CountingStream()
+        assert json_text(doc, stream) is None
+        assert_same_text(stream.getvalue(), want)
+        assert stream.calls == 1  # fewer than SPILL_PIECES pieces go in one call
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(DOCS)
+    def test_iterators_write_as_lists(self, doc):
+        want = json_text(doc)
+        assert_same_text(json_text(as_iterators(doc)), want)
+        with mock.patch.object(cli, "SPILL_PIECES", 1):  # spill after every item
+            stream = CountingStream()
+            json_text(as_iterators(doc), stream)
+        assert_same_text(stream.getvalue(), want)
+
+    def test_long_iterator_is_spilled(self):
+        rows = [{"level": [k % 9, 1], "ratio": k / 7} for k in range(2000)]
+        with mock.patch.object(cli, "SPILL_PIECES", 64):
+            stream = CountingStream()
+            json_text({"rows": iter(rows), "n": 2000}, stream)
+        assert stream.calls > 2000 * 6 // 64  # about 6 pieces a row
+        assert_same_text(stream.getvalue(), reference_json_text({"rows": rows, "n": 2000}))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(DOCS)
+    def test_out_file_and_stdout(self, tmp_path_factory, doc):
+        want = json_text(doc)
+        path = tmp_path_factory.getbasetemp() / "streamed.json"
+        cli.write_json(doc, str(path))
+        assert_same_text(path.read_bytes().decode("utf-8"), want)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.write_json(doc, None)
+        assert_same_text(out.getvalue(), want)
+
+    @pytest.mark.parametrize("argv", [
+        ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4", "--x", "0.3,0.6,0.7"],
+        ["audit", "--fn", "prod-quad", "--d", "1", "--n", "3", "--scale-coeffs", "1.1"],
+    ])
+    def test_commands_write_the_document_text(self, tmp_path, capsys, monkeypatch, argv):
+        docs = []
+        monkeypatch.setattr(cli, "write_json", lambda doc, path: docs.append(doc))
+        code = main(argv)
+        monkeypatch.undo()
+        [doc] = docs
+        want = json_text(doc)
+        assert main(argv + ["--out", str(tmp_path / "doc.json")]) == code
+        assert_same_text((tmp_path / "doc.json").read_bytes().decode("utf-8"), want)
+        capsys.readouterr()
+        assert main(argv) == code
+        assert_same_text(capsys.readouterr().out, want)
+
+    def test_trace_peak_memory(self, tmp_path):
+        # pieces go to the file unjoined: no 8 MB document text and no encoded copy of it
+        argv = ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4", "--x", "0.3,0.6,0.7",
+                "--out", str(tmp_path / "trace.json")]
+        assert main(argv) == 0
+        assert (tmp_path / "trace.json").stat().st_size > 8 * 10 ** 6
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19 * 2 ** 20
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_distinct_by_sort_is_unique(self, dtype):
+        rng = np.random.default_rng(11)
+        few = few_values(dtype)  # both zeros and both smallest subnormals among them
+        cases = [few, rng.choice(few, 5000), np.repeat(few, 3)[::-1], few[:1], few[:0],
+                 rng.standard_normal(3000).astype(dtype)]
+        for values in cases:
+            bits = np.ascontiguousarray(values).view(f"u{values.itemsize}")
+            got, want = cli._distinct(bits), np.unique(bits)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        keys = rng.integers(0, 400, 10000)  # row keys are intp
+        assert cli._distinct(keys).tolist() == np.unique(keys).tolist()
 
 
 class TestOutPath:

@@ -35,6 +35,7 @@ from qkorobov.simulator import (
     run_circuit,
 )
 from qkorobov.sparsegrid import chebyshev_expansion, surplus_coefficients
+from test_simulator import controlled, shifted
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -358,6 +359,29 @@ class TestHadamardTest:
         wrapped = hadamard_test_circuit(target)
         assert wrapped.width == 3
         assert wrapped.ops[0].targets == (0,)  # leading H on the test qubit
+
+    @pytest.mark.parametrize("target", ["d3-n4", "one-term", "controlled"])
+    def test_one_pass_wrap_equals_shift_then_control(self, target):
+        if target == "d3-n4":  # the selector-controlled gates of a traced combination
+            smap = surplus_coefficients(corpus_function("prod-quad", 3).f, 4, 3)
+            plan = plan_from_terms(chebyshev_expansion(smap, np.array([0.3, 0.6, 0.7])), 3)
+            circuit = assemble_lcu(plan)
+            assert circuit.width == 3 + 8 and len(circuit.ops) > 900
+        elif target == "one-term":  # no selector, plain width-1 gates
+            circuit = assemble_lcu(plan_from_terms_from_circuit(0.25))
+            assert circuit.width == 1 and not any(op.controls for op in circuit.ops)
+        else:  # controls given with values, on two-qubit targets
+            circuit = Circuit(4, [Gate(np.eye(4), (2, 0), controls=(3, 1), control_values=(0, 1),
+                                       label="cc"), Gate(PAULI_X, (3,))])
+        wrapped = hadamard_test_circuit(circuit)
+        assert wrapped.width == circuit.width + 1
+        assert len(wrapped.ops) == len(circuit.ops) + 2
+        for got, op in zip(wrapped.ops[1:-1], circuit.ops, strict=True):
+            want = controlled(shifted(op, 1), control=0)
+            assert got.matrix is want.matrix is op.matrix
+            assert (got.targets, got.controls, got.control_values, got.label) == (
+                want.targets, want.controls, want.control_values, want.label)
+            assert all(type(q) is int for q in got.targets + got.controls + got.control_values)
 
     def test_matches_direct_real_part(self):
         rng = np.random.default_rng(15)

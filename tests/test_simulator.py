@@ -16,17 +16,36 @@ from qkorobov.simulator import (
     Statevector,
     check_dense,
     circuit_unitary,
-    controlled,
     expectation_z_first,
     resource_report,
     run_circuit,
-    shifted,
 )
 from qkorobov.lcu import LcuPlan, prepare_state_unitary, run_hadamard_test
 from qkorobov.qsp import chebyshev_circuit
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def controlled(op: Gate, control: int, value: int = 1) -> Gate:
+    """``op`` conditioned on one extra control qubit, in front of its controls.
+
+    The reference for the one-pass wrap of ``lcu.hadamard_test_circuit``.
+    """
+    if control in op.touched():
+        raise ValueError(f"control {control} already used by the op")
+    if control < 0 or value not in (0, 1):
+        raise ValueError(f"control {control} with value {value} is not a qubit and a bit")
+    return Gate._trusted(op.matrix, op.targets, (control,) + op.controls,
+                         (value,) + op.control_values, op.label)
+
+
+def shifted(op: Gate, offset: int) -> Gate:
+    """``op`` with every qubit index moved by ``offset``."""
+    if min(op.touched(), default=0) + offset < 0:
+        raise ValueError(f"offset {offset} moves the op below qubit 0")
+    return Gate._trusted(op.matrix, tuple(q + offset for q in op.targets),
+                         tuple(q + offset for q in op.controls), op.control_values, op.label)
 
 
 def random_unitary(rng, dim):

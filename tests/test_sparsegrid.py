@@ -579,6 +579,23 @@ class TestInterpolant:
         assert exact(got) == exact(want)
         assert (got[(pts == 1.0).any(axis=1)] == 0.0).all()
 
+    @pytest.mark.parametrize("kind", ["quad", "two-products", "aniso"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_rows_on_the_boundary_are_positive_zero(self, kind, d):
+        # no mask: a row with a coordinate at 0 or 1 sums +-0.0 terms onto +0.0
+        # (negative surpluses, which give the -0.0 terms, from d = 2 on)
+        s = corpus_map(kind, 4, d)
+        rng = np.random.default_rng(40 + d)
+        pts = rng.random((64, d))
+        pts[np.arange(0, 64, 2), rng.integers(0, d, 32)] = 1.0
+        pts[1::4, 0] = 0.0
+        pts[-1] = 1.0
+        pts[-2] = 0.0
+        got = s.evaluate_batch(pts)
+        assert exact(got) == exact(reference_evaluate_batch(s, pts))
+        boundary = ((pts == 0.0) | (pts == 1.0)).any(axis=1)
+        assert exact(got[boundary]) == ["0x0.0p+0"] * int(boundary.sum())
+
     def test_batch_memory_is_bounded(self):
         # one cell table of BATCH_ROWS rows at a time, freed before the next block's
         s = corpus_map("quad", 8, 3)
