@@ -25,7 +25,6 @@ from .sparsegrid import (
     enumerate_levels,
     grid_count,
     hat,
-    index_set,
     integral_coefficient,
     surplus_coefficients,
 )

@@ -42,9 +42,9 @@ import numpy as np
 from .lcu import assemble_lcu, plan_from_terms
 from .simulator import resource_report
 from .sparsegrid import (
+    BATCH_ROWS,
     GRID_BLOCK_VALUES,
     MAX_GRID_POINTS,
-    GridIndex,
     SurplusMap,
     chebyshev_expansion,
     gauss_legendre,
@@ -62,6 +62,8 @@ MC_SAMPLES = 200_000
 # so this bounds only d = 1, where the sup and Gauss-Legendre norms stop at n = 15
 MAX_AXIS_POINTS = 1 << 20
 SEMINORM_NODES_PER_CELL = 24
+# a surplus violates a decay bound when |value| / bound is above this
+RATIO_LIMIT = 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def _norm_grid(p: float, d: int, n: int):
 
 
 def _grid_error(f: Callable, g, p: float, axes: list[np.ndarray],
-                weights: list[np.ndarray] | None, budget: int = 1 << 21) -> float:
+                weights: list[np.ndarray] | None) -> float:
     """||f - g||_p over the tensor grid ``axes``, in one streaming pass over axis 0.
 
     The rows of axis 0 go through in blocks of about GRID_BLOCK_VALUES
@@ -261,48 +263,41 @@ def _grid_error(f: Callable, g, p: float, axes: list[np.ndarray],
     by ``g.evaluate_grid`` with one ``g.grid_rows`` reader, or a callable on
     (m, d) points.  ``f`` is read through its grid form ``f.on_grid`` when
     it has one (see ``separable_function``) and on points otherwise; a
-    block's (m, d) points are built only for a callable that needs them.  Either way the values are the same bit for bit.  The sup
-    norm takes the maximum over the grid (``weights`` None); finite p
-    contracts |f - g|^p with one weight vector per axis, row by row, and
-    sums axis 0 in outer blocks of ``budget // prod(sizes[1:])`` rows, so
-    the sums group the same way whatever the row blocks.
+    block's (m, d) points are built only for a callable that needs them.
+    Either way the values are the same bit for bit.  The sup norm takes the
+    maximum over the grid (``weights`` None); finite p contracts |f - g|^p
+    into one sum per axis-0 row, then those with ``weights[0]`` once, so the
+    sums group the same way whatever the row blocks.
     """
     d = len(axes)
     inner = math.prod(len(a) for a in axes[1:])
-    step = max(1, budget // inner)
-    block = min(step, max(1, GRID_BLOCK_VALUES // inner))
+    block = max(1, GRID_BLOCK_VALUES // inner)
     on_grid = getattr(f, "on_grid", None)
     read = g.grid_rows(axes) if isinstance(g, SurplusMap) else None
     g_buf = np.empty((block, inner)) if read else None
     diff_buf = np.empty((block, inner))
-    row_sums = np.empty(min(step, len(axes[0])))
-    worst, total = 0.0, 0.0
-    for a in range(0, len(axes[0]), step):
-        stop = min(a + step, len(axes[0]))
-        for b in range(a, stop, block):
-            rows = slice(b, min(b + block, stop))
-            count = rows.stop - rows.start
-            cut = [axes[0][rows], *axes[1:]]
-            pts = None
-            if on_grid is None or read is None:
-                pts = np.stack(np.meshgrid(*cut, indexing="ij", copy=False),
-                               axis=-1).reshape(-1, d)
-            g_vals = (g.evaluate_grid(axes, rows, g_buf[:count], read) if read
-                      else np.reshape(g(pts), (count, inner)))
-            f_vals = on_grid(cut) if on_grid is not None else np.asarray(f(pts), dtype=float)
-            diff = np.subtract(f_vals.reshape(count, inner), g_vals, out=diff_buf[:count])
-            np.abs(diff, out=diff)
-            if p == math.inf:
-                worst = float(np.maximum(worst, diff.max()))  # a NaN stays, as in a sum
-                continue
-            diff **= p  # in place, the same square or power as diff ** p
-            power = diff.reshape([count] + [len(ax) for ax in axes[1:]])
-            for j in range(d - 1, 0, -1):
-                power = power @ weights[j]
-            row_sums[b - a:rows.stop - a] = power
-        if p != math.inf:
-            total += float(weights[0][a:stop] @ row_sums[:stop - a])
-    return worst if p == math.inf else total ** (1.0 / p)
+    row_sums = np.empty(len(axes[0]))  # at most MAX_AXIS_POINTS
+    worst = 0.0
+    for a in range(0, len(axes[0]), block):
+        rows = slice(a, min(a + block, len(axes[0])))
+        count = rows.stop - a
+        cut = [axes[0][rows], *axes[1:]]
+        pts = None if on_grid and read else np.stack(
+            np.meshgrid(*cut, indexing="ij", copy=False), axis=-1).reshape(-1, d)
+        g_vals = (g.evaluate_grid(axes, rows, g_buf[:count], read) if read
+                  else np.reshape(g(pts), (count, inner)))
+        f_vals = on_grid(cut) if on_grid is not None else np.asarray(f(pts), dtype=float)
+        diff = np.subtract(f_vals.reshape(count, inner), g_vals, out=diff_buf[:count])
+        np.abs(diff, out=diff)
+        if p == math.inf:
+            worst = float(np.maximum(worst, diff.max()))  # a NaN stays, as in a sum
+            continue
+        diff **= p  # in place, the same square or power as diff ** p
+        power = diff.reshape([count] + [len(ax) for ax in axes[1:]])
+        for j in range(d - 1, 0, -1):
+            power = power @ weights[j]
+        row_sums[rows] = power
+    return worst if p == math.inf else float(weights[0] @ row_sums) ** (1.0 / p)
 
 
 def _norm_exponent(p) -> float:
@@ -456,9 +451,8 @@ def convergence_study(func: KorobovTestFunction, p, n_range: Sequence[int],
 class AuditReport:
     """Both decay bounds of every surplus, as float columns aligned with ``smap.coefficients``.
 
-    ``values`` are the scaled surpluses and a ratio is |value| / bound.
-    ``violations`` holds (node, "inf" or "2", ratio) for each ratio above
-    1 + 1e-12, in storage order with inf before 2 for a node.
+    ``values`` are the scaled surpluses and a ratio is |value| / bound; a
+    ratio above RATIO_LIMIT violates its bound.
     """
 
     function: str
@@ -469,7 +463,6 @@ class AuditReport:
     bound_2: np.ndarray
     ratio_inf: np.ndarray
     ratio_2: np.ndarray
-    violations: list[tuple[GridIndex, str, float]]
 
     @property
     def max_ratio_inf(self) -> float:
@@ -481,7 +474,20 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.max_ratio_inf <= RATIO_LIMIT and self.max_ratio_2 <= RATIO_LIMIT
+
+    def violations(self):
+        """(node, "inf" or "2", ratio) per ratio above RATIO_LIMIT, in storage order, inf first.
+
+        ``_nodes_at`` names the nodes of one block of BATCH_ROWS positions at a time.
+        """
+        for a in range(0, len(self.values), BATCH_ROWS):
+            ratios = np.stack([self.ratio_inf[a:a + BATCH_ROWS], self.ratio_2[a:a + BATCH_ROWS]],
+                              axis=1)
+            position, which = np.nonzero(ratios > RATIO_LIMIT)  # row-major: inf before 2
+            yield from zip(_nodes_at(self.n, self.d, a + position),
+                           [("inf", "2")[w] for w in which.tolist()],
+                           ratios[position, which].tolist())
 
 
 def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
@@ -489,7 +495,7 @@ def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
     """L2 norms of the mixed derivative over the hat supports of one level.
 
     Each squared norm is a product of one 1-D sum of a squared factor per
-    axis; values come in ``index_set`` order.
+    axis; values come in storage (C) order within the level.
     """
     squares = _support_sums(mixed_derivative, level, indices, SEMINORM_NODES_PER_CELL, power=2)
     return np.sqrt(squares)
@@ -524,12 +530,8 @@ def coefficient_bound_audit(func: KorobovTestFunction, smap: SurplusMap,
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bounds == 0.0, np.where(values[:, None] == 0.0, 0.0, np.inf),
                           np.abs(values)[:, None] / bounds)
-    position, which = np.nonzero(ratios > 1.0 + 1e-12)  # row-major: inf before 2 per node
-    nodes = _nodes_at(smap.n, d, position)
-    violations = [(g, ("inf", "2")[w], ratio) for g, w, ratio in
-                  zip(nodes, which.tolist(), ratios[position, which].tolist())]
     return AuditReport(func.name, d, smap.n, values, bounds[:, 0], bounds[:, 1],
-                       ratios[:, 0], ratios[:, 1], violations)
+                       ratios[:, 0], ratios[:, 1])
 
 
 def dual_oracle_gap(func: KorobovTestFunction, smap: SurplusMap) -> float:

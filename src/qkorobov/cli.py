@@ -565,17 +565,13 @@ def cmd_audit(args) -> int:
             audit = analysis.coefficient_bound_audit(func, smap, scale=args.scale_coeffs)
             gap = analysis.dual_oracle_gap(func, smap)
             audits.append((audit, gap, 1e-8 if func.d == 1 else 1e-6))
-    failed = any(audit.violations or gap > gap_tol for audit, gap, gap_tol in audits)
-
-    def violations(audit):  # written as they are made, never held as dicts
-        for g, which, ratio in audit.violations:
-            yield {"level": list(g.level), "index": list(g.index), "bound": which, "ratio": ratio}
-
+    failed = any(not audit.passed or gap > gap_tol for audit, gap, gap_tol in audits)
     reports = [{
         "function": audit.function, "d": audit.d, "n": audit.n,
         "max_ratio_inf": audit.max_ratio_inf,
         "max_ratio_2": audit.max_ratio_2,
-        "violations": violations(audit),
+        "violations": ({"level": list(g.level), "index": list(g.index), "bound": which,
+                        "ratio": ratio} for g, which, ratio in audit.violations()),  # never held
         "stencil_vs_integral_max_gap": gap,
         "gap_tolerance": gap_tol,
     } for audit, gap, gap_tol in audits]

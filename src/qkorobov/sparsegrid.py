@@ -32,11 +32,11 @@ A ``SurplusMap`` stores each coefficient once, in one read-only column in
 storage order: levels in ``enumerate_levels`` order, cells in C order, where
 cell c holds the node with odd index 2c + 1.  Each level's array is a view
 of the column, and ``_level_layout`` is the one place that computes the
-order (``_nodes_at`` inverts it).  GridIndex nodes are built on demand.
+order and, through ``_nodes_at``, names the node at each position: GridIndex
+nodes are built from it on demand, one block of positions at a time.
 ``SurplusMap(d, n, coefficients)`` is the one constructor, which
-``surplus_coefficients`` (hierarchizing in place through the views) and
-``from_json_dict`` (numpy columns of level, index and value) both end in:
-it checks the column once and keeps it read-only, without a copy.  Every
+``surplus_coefficients`` ends in after hierarchizing in place through the
+views: it checks the column once and keeps it read-only, without a copy.  Every
 read locates its hats with one kernel, ``_axis_cells``: for a coordinate x
 and a level l it gives the cell of the one hat whose support holds x, the
 hat value 1 - |u| and the local coordinate u in [-1, 1].  ``evaluate`` is
@@ -56,10 +56,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -146,14 +144,6 @@ def _check_level(level: Sequence[int]) -> Level:
     return level
 
 
-def index_set(level: Sequence[int]) -> list[GridIndex]:
-    """All odd index vectors of one level, lexicographic."""
-    level = _check_level(level)
-    ranges = [range(1, 2 ** l, 2) for l in level]
-    # odd and in [1, 2^l - 1] by construction
-    return [GridIndex._trusted(level, idx) for idx in itertools.product(*ranges)]
-
-
 def grid_count(n: int, d: int) -> int:
     """Exact number of sparse-grid nodes at truncation level n.
 
@@ -196,7 +186,7 @@ class SurplusMap:
     constructor takes the column over without a copy when it is contiguous
     float64, checks it once and makes it, and any array it views, read-only.
     ``items()``, ``entries`` and ``smap[g]`` are views built on demand, in
-    lexicographic (level, index) order.
+    storage order, which is lexicographic (level, index) order.
     """
 
     d: int
@@ -235,14 +225,11 @@ class SurplusMap:
     def levels(self) -> list[Level]:
         return list(self._level_arrays)  # stored in ``enumerate_levels`` order
 
-    def level_values(self, level: Level) -> np.ndarray:
-        """The coefficients of one level as a flat array, in ``index_set`` order."""
-        return self._level_arrays[tuple(level)].reshape(-1)
-
     def items(self):
-        """(GridIndex, coefficient) pairs in lexicographic (level, index) order."""
-        for level in self.levels():
-            yield from zip(index_set(level), self.level_values(level).tolist())
+        """(GridIndex, coefficient) pairs in storage order, named BATCH_ROWS at a time."""
+        for a in range(0, len(self), BATCH_ROWS):
+            yield from zip(_nodes_at(self.n, self.d, range(a, min(a + BATCH_ROWS, len(self)))),
+                           self.coefficients[a:a + BATCH_ROWS].tolist())
 
     @property
     def entries(self) -> dict[GridIndex, float]:
@@ -385,7 +372,7 @@ class SurplusMap:
 
         return read
 
-    # -- JSON round trip ----------------------------------------------------
+    # -- JSON document of the coeffs command ------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
@@ -396,45 +383,6 @@ class SurplusMap:
                 for g, v in self.items()
             ],
         }
-
-    def dumps(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SurplusMap":
-        """The map of a ``to_json_dict`` document: each node of the index set once."""
-        d, n = int(doc["d"]), int(doc["n"])
-        rows, m = doc["entries"], len(doc["entries"])
-        for e in rows:
-            if len(e["level"]) != d or len(e["index"]) != d:
-                raise _outside(GridIndex(e["level"], e["index"]), n, d)
-        level, index = (
-            np.fromiter(itertools.chain.from_iterable(map(itemgetter(key), rows)),
-                        dtype=np.int64, count=m * d).reshape(m, d)
-            for key in ("level", "index"))
-        values = np.fromiter(map(itemgetter("value"), rows), dtype=float, count=m)
-        ok = ((level >= 1) & (index >= 1) & (index < 2.0 ** level) & (index % 2 == 1)).all(1)
-        ok &= level.sum(axis=1) <= n + d - 1
-        if not ok.all():
-            k = int(np.argmin(ok))
-            raise _outside(GridIndex(level[k], index[k]), n, d)  # GridIndex raises first
-        keys = np.concatenate([level, index], axis=1)
-        order = np.lexsort(keys.T[::-1])  # (level, index) lexicographic: the storage order
-        repeat = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
-        if repeat.any():
-            k = int(order[1:][repeat].min())
-            raise ValueError(
-                f"node level {level[k].tolist()} index {index[k].tolist()} appears twice")
-        return cls(d, n, values[order])
-
-    @classmethod
-    def loads(cls, text: str) -> "SurplusMap":
-        return cls.from_json_dict(json.loads(text))
-
-
-def _outside(g: GridIndex, n: int, d: int) -> ValueError:
-    return ValueError(f"node level {list(g.level)} index {list(g.index)} is not in the "
-                      f"level-{n} index set of dimension {d}")
 
 
 def _check_domain(points: np.ndarray, row_name: str = "row") -> None:
@@ -504,12 +452,13 @@ def _nodes_at(n: int, d: int, positions) -> list[GridIndex]:
     positions = np.asarray(positions, dtype=np.int64)
     k = np.searchsorted(offsets, positions, side="right") - 1
     cells = ((positions - offsets[k])[:, None] >> shifts[k]) & ((1 << levels[k]) - 1)
-    return [GridIndex._trusted(tuple(level), tuple(index))
-            for level, index in zip((levels[k] + 1).tolist(), (2 * cells + 1).tolist())]
+    named = [tuple(row) for row in (levels + 1).tolist()]  # one level tuple, shared by its nodes
+    indices = zip(*(2 * cells + 1).T.tolist())  # one int tuple per position
+    return [GridIndex._trusted(named[row], index) for row, index in zip(k.tolist(), indices)]
 
 
 def _level_nodes(level: Level) -> np.ndarray:
-    """Nodes of one level as an (m, d) array, rows in ``index_set`` order."""
+    """Nodes of one level as an (m, d) array, rows in storage (C) order of the level's cells."""
     axes = [np.arange(1, 2 ** l, 2) * 2.0 ** -l for l in level]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -663,7 +612,7 @@ def _support_sums(mixed_derivative: Callable, level: Sequence[int],
     sum_q w_q a_j(x_q)^power; with ``kernel`` every weight carries the kernel
     -2^-(l+1) phi_{l,i}(x) of the surplus representation.  Returns the
     product of the axis sums for each node of the product of ``indices`` (all
-    of the level by default), in ``index_set`` order.
+    of the level by default), in storage (C) order within the level.
     """
     level = _check_level(level)
     if indices is None:
@@ -701,7 +650,7 @@ def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
 
     Integrates prod_j(-2^{-(l_j+1)} phi_{l_j,i_j}(x_j)) times the order-2d
     mixed derivative over each hat's support as a product of one 1-D sum per
-    axis.  Returns one value per node, in ``index_set`` order.
+    axis.  Returns one value per node, in storage (C) order within the level.
     """
     return _support_sums(mixed_derivative, level, indices, SURPLUS_NODES_PER_CELL, kernel=True)
 

@@ -35,12 +35,11 @@ from qkorobov.sparsegrid import (
     GridIndex,
     SurplusMap,
     enumerate_levels,
-    index_set,
     integral_coefficient,
     integral_coefficients,
     surplus_coefficients,
 )
-from test_sparsegrid import reference_evaluate_grid, two_products
+from test_sparsegrid import index_set, reference_evaluate_grid, two_products
 
 
 def reference_support_sum(integrand, g, nodes_per_cell, kernel):
@@ -91,13 +90,15 @@ def scalar_audit(fn, smap, scale):
     ``coefficient_bound_audit`` writes them, so the columnar audit must agree
     with this loop bit for bit.
     """
-    d, rows, violations = fn.d, [], []
+    d, rows, violations, start = fn.d, [], [], 0
     for level in smap.levels():
         l1 = sum(level)
         bound_inf = 2.0 ** (-d - 2 * l1) * fn.seminorm_inf
         seminorms = local_seminorms_2(fn.mixed_derivative, level).tolist()
-        values = (smap.level_values(level) * scale).tolist()
-        for g, value, seminorm in zip(index_set(level), values, seminorms):
+        nodes = index_set(level)
+        values = (smap.coefficients[start:start + len(nodes)] * scale).tolist()
+        start += len(nodes)
+        for g, value, seminorm in zip(nodes, values, seminorms):
             bound_2 = 2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1) * seminorm
             ratios = []
             for which, bound in (("inf", bound_inf), ("2", bound_2)):
@@ -309,7 +310,7 @@ class TestLpError:
             assert by_grid == pytest.approx(by_points, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_blocks_cover_the_grid_once(self, d):
+    def test_blocks_cover_the_grid_once(self, d, monkeypatch):
         # every block size gives the unchunked value, with uneven weights too;
         # the grid form of f gives the point form's value exactly
         rng = np.random.default_rng(d)
@@ -324,16 +325,19 @@ class TestLpError:
                     whole = _grid_error(fn.f, g, p, axes, w)
                     assert whole == _grid_error(on_points, g, p, axes, w)
                     for rows in (1, 2, 3):
-                        chunked = _grid_error(fn.f, g, p, axes, w, budget=rows * tail)
-                        assert chunked == _grid_error(on_points, g, p, axes, w,
-                                                      budget=rows * tail)
+                        monkeypatch.setattr(analysis, "GRID_BLOCK_VALUES", rows * tail)
+                        chunked = _grid_error(fn.f, g, p, axes, w)
+                        assert chunked == _grid_error(on_points, g, p, axes, w)
                         assert chunked == pytest.approx(whole, rel=1e-13)
+                        monkeypatch.undo()
             power = np.abs(fn.f(grid_points(axes)).reshape([len(a) for a in axes])
                            - reference_grid(smap, axes)) ** 2
             for w in reversed(weights):
                 power = power @ w
-            assert _grid_error(fn.f, smap, 2.0, axes, weights, budget=tail) == pytest.approx(
+            monkeypatch.setattr(analysis, "GRID_BLOCK_VALUES", tail)
+            assert _grid_error(fn.f, smap, 2.0, axes, weights) == pytest.approx(
                 math.sqrt(power), rel=1e-13)
+            monkeypatch.undo()
 
 
 class TestGridNormsCallNoPoints:
@@ -645,14 +649,14 @@ class TestCoefficientAudit:
                 continue
             for n in range(1, 5):
                 report = coefficient_bound_audit(fn, surplus_coefficients(fn.f, n, fn.d))
-                assert report.passed, report.violations
+                assert report.passed, list(report.violations())
                 assert report.max_ratio_inf <= 1.0 + 1e-12
                 assert report.max_ratio_2 <= 1.0 + 1e-12
 
     def test_scale_hook_fails(self):
         report = coefficient_bound_audit(*quad1_map(2), scale=1.1)
         assert not report.passed
-        assert any(g == GridIndex((1,), (1,)) for g, _, _ in report.violations)
+        assert any(g == GridIndex((1,), (1,)) for g, _, _ in report.violations())
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
     def test_non_finite_scale_rejected(self, scale):
@@ -671,7 +675,7 @@ class TestCoefficientAudit:
         assert report.max_ratio_inf == 0.0
 
     @pytest.mark.parametrize("scale", [1.1, 3.0])
-    def test_columns_equal_scalar_loop(self, scale):
+    def test_columns_equal_scalar_loop(self, scale, monkeypatch):
         from qkorobov.analysis import KorobovTestFunction
 
         quad = corpus_function("prod-quad", 1)
@@ -690,7 +694,10 @@ class TestCoefficientAudit:
                        report.ratio_inf, report.ratio_2)
             for got, want in zip(columns, np.array(rows).T):
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-            assert report.violations == violations, (fn.name, fn.d, n)
+            assert list(report.violations()) == violations, (fn.name, fn.d, n)
+            monkeypatch.setattr(analysis, "BATCH_ROWS", 5)  # blocks that cross levels
+            assert list(report.violations()) == violations, (fn.name, fn.d, n)
+            monkeypatch.undo()
             assert report.max_ratio_inf == max(r[3] for r in rows)
             assert report.max_ratio_2 == max(r[4] for r in rows)
             if fn.name in ("flat", "zero"):
@@ -759,7 +766,7 @@ class TestLevelQuadrature:
                 continue
             for n in (1, 3, 4):
                 smap = surplus_coefficients(fn.f, n, fn.d)
-                got = coefficient_bound_audit(fn, smap, scale=scale).violations
+                got = list(coefficient_bound_audit(fn, smap, scale=scale).violations())
                 want = reference_violations(fn, n, scale)
                 assert [(g, w) for g, w, _ in got] == [(g, w) for g, w, _ in want]
                 for (_, _, a), (_, _, b) in zip(got, want):

@@ -335,6 +335,19 @@ class TestAudit:
         violations = [v for r in doc["reports"] for v in r["violations"]]
         assert violations and all(len(v["level"]) == len(v["index"]) == 3 for v in violations)
 
+    def test_scaled_audit_peak_memory(self, tmp_path):
+        # violations are named a block at a time as they are written, never held
+        argv = ["audit", "--fn", "prod-quad", "--d", "3", "--n", "7", "--scale-coeffs", "3.0",
+                "--out", str(tmp_path / "audit.json")]
+        assert main(argv) == 3
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
     def test_default_set_stays_d_at_most_2(self, tmp_path):
         code, data = run_cli(["audit", "--n", "2"], tmp_path, "audit-default.json")
         assert code == 0

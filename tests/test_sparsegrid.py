@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from qkorobov import sparsegrid
 from qkorobov.analysis import corpus, corpus_function, separable_function
+from qkorobov.cli import main
 from qkorobov.lcu import evaluate_via_circuit
 from qkorobov.sparsegrid import (
     BATCH_ROWS,
@@ -25,7 +26,6 @@ from qkorobov.sparsegrid import (
     gauss_legendre,
     grid_count,
     hat,
-    index_set,
     integral_coefficient,
     surplus_coefficients,
 )
@@ -33,6 +33,17 @@ from qkorobov.sparsegrid import (
 PROD_QUAD_1 = lambda X: X[:, 0] * (1 - X[:, 0])
 PROD_QUAD_2 = lambda X: X[:, 0] * (1 - X[:, 0]) * X[:, 1] * (1 - X[:, 1])
 ZERO_1 = lambda X: np.zeros(len(X))
+
+
+def index_set(level):
+    """All nodes of one level, odd index vectors in lexicographic order.
+
+    The plain reference that ``_nodes_at`` and ``SurplusMap.items()`` are
+    checked against; a level component below 1 raises ValueError.
+    """
+    level = sparsegrid._check_level(level)
+    return [GridIndex(level, idx) for idx in itertools.product(*(range(1, 2 ** l, 2)
+                                                                 for l in level))]
 
 
 def reference_surplus(f, n, d):
@@ -970,21 +981,27 @@ class TestChebyshevExpansion:
 
 
 class TestJsonRoundTrip:
-    def test_exact_round_trip(self):
-        s = surplus_coefficients(lambda X: np.sin(np.pi * X[:, 0]), 4, 1)
-        text = s.dumps()
-        back = SurplusMap.loads(text)
-        assert back.d == s.d and back.n == s.n
-        for g, v in s.items():
-            assert back[g] == v  # exact doubles via repr round trip
+    """The ``coeffs`` document of a map, and the checks of its column."""
+
+    def test_exact_round_trip(self, tmp_path):
+        # the written document holds each coefficient's exact double
+        s = surplus_coefficients(corpus_function("prod-sin", 1).f, 4, 1)
+        out = tmp_path / "coeffs.json"
+        assert main(["coeffs", "--fn", "prod-sin", "--d", "1", "--n", "4", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["d"] == s.d and doc["n"] == s.n
+        assert len(doc["entries"]) == len(s)
+        for entry, (g, v) in zip(doc["entries"], s.items()):
+            assert GridIndex(entry["level"], entry["index"]) == g
+            assert entry["value"] == v  # exact doubles via repr round trip
 
     @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_coefficient_rejected(self, bad):
         s = surplus_coefficients(PROD_QUAD_1, 2, 1)
-        text = s.dumps().replace('"value": 0.0625', f'"value": {bad}', 1)
-        assert bad in text
+        column = s.coefficients.copy()
+        column[1] = float(bad)  # level [2] index [1], once 0.0625
         with pytest.raises(ValueError, match=r"level \[2\] index \[1\] is .*must be finite"):
-            SurplusMap.loads(text)
+            SurplusMap(1, 2, column)
 
     def test_non_finite_coefficient_rejected_at_construction(self):
         entries = dict(surplus_coefficients(PROD_QUAD_2, 2, 2).items())
@@ -994,54 +1011,32 @@ class TestJsonRoundTrip:
 
     def test_schema(self):
         s = surplus_coefficients(PROD_QUAD_2, 1, 2)
-        doc = json.loads(s.dumps())
+        doc = s.to_json_dict()
         assert doc["d"] == 2 and doc["n"] == 1
         assert doc["entries"] == [{"level": [1, 1], "index": [1, 1], "value": 0.0625}]
 
-    def _doc(self):
-        return json.loads(surplus_coefficients(PROD_QUAD_2, 2, 2).dumps())
-
-    def test_duplicated_node_rejected(self):
-        doc = self._doc()
-        doc["entries"].append(dict(doc["entries"][1]))  # N + 1 entries, N nodes
-        with pytest.raises(ValueError, match=r"node level \[1, 2\] index \[1, 1\] appears twice"):
-            SurplusMap.from_json_dict(doc)
-
-    def test_node_outside_index_set_rejected(self):
-        doc = self._doc()
-        doc["entries"][1].update(level=[3, 1], index=[1, 1])  # still N entries
-        with pytest.raises(ValueError, match=r"node level \[3, 1\] index \[1, 1\] is not in "
-                                             r"the level-2 index set"):
-            SurplusMap.from_json_dict(doc)
-
     @pytest.mark.parametrize("row, change, message", [
         (1, dict(level=[1, 2, 1]), r"level and index dimensions differ"),
-        (2, dict(level=[1, 1, 1], index=[1, 1, 1]),
-         r"node level \[1, 1, 1\] index \[1, 1, 1\] is not in the level-2 index set "
-         r"of dimension 2"),
+        (2, dict(level=[1, 1, 1], index=[1, 1, 1]), r"\(1, 1, 1\)"),
         (1, dict(level=[1, 0]), r"level component 0 < 1"),
         (3, dict(index=[2, 1]), r"index 2 invalid for level 2 \(odd, in \[1, 2\^l-1\]\)"),
         (3, dict(index=[5, 1]), r"index 5 invalid for level 2"),
         (0, dict(index=[-1, 1]), r"index -1 invalid for level 1"),
     ])
     def test_invalid_entry_rejected(self, row, change, message):
-        doc = self._doc()
-        doc["entries"][row].update(change)
-        with pytest.raises(ValueError, match=message):
-            SurplusMap.from_json_dict(doc)
+        # an altered entry of the document names its fault when read as a node
+        # of the map: an invalid GridIndex raises ValueError, a valid node
+        # outside the map's index set raises KeyError
+        s = surplus_coefficients(PROD_QUAD_2, 2, 2)
+        entry = s.to_json_dict()["entries"][row]
+        entry.update(change)
+        with pytest.raises((ValueError, KeyError), match=message):
+            s[GridIndex(entry["level"], entry["index"])]
 
     def test_missing_entry_rejected(self):
-        doc = self._doc()
-        del doc["entries"][2]
+        column = np.delete(surplus_coefficients(PROD_QUAD_2, 2, 2).coefficients, 2)
         with pytest.raises(ValueError, match=r"4 entries, but the level-2 index set holds 5"):
-            SurplusMap.from_json_dict(doc)
-
-    def test_entry_order_is_free(self):
-        s = surplus_coefficients(PROD_QUAD_2, 4, 2)
-        doc = s.to_json_dict()
-        doc["entries"].reverse()
-        back = SurplusMap.from_json_dict(doc)
-        assert list(back.items()) == list(s.items())
+            SurplusMap(2, 2, column)
 
 
 class TestReadOnlyMap:
@@ -1055,10 +1050,7 @@ class TestReadOnlyMap:
         before = s.evaluate([0.3, 0.6])
         for level in s.levels():
             with pytest.raises(ValueError, match="read-only"):
-                s.level_values(level)[0] = np.nan
-        for smap in (s, SurplusMap.loads(s.dumps())):
-            with pytest.raises(ValueError, match="read-only"):
-                smap._level_arrays[1, 1][0, 0] = np.nan
+                s._level_arrays[level][0, 0] = np.nan
         assert s.evaluate([0.3, 0.6]) == before
 
     def test_fields_cannot_be_assigned(self):
@@ -1121,9 +1113,8 @@ class TestLevelArrayStorage:
         assert built == []
         assert set(vars(s)) == {"d", "n", "coefficients", "_level_arrays"}
         monkeypatch.undo()
-        for other in (SurplusMap(3, 5, column_from_entries(s.entries, 5, 3)),
-                      SurplusMap.loads(s.dumps())):
-            assert set(vars(other)) == {"d", "n", "coefficients", "_level_arrays"}
+        other = SurplusMap(3, 5, column_from_entries(s.entries, 5, 3))
+        assert set(vars(other)) == {"d", "n", "coefficients", "_level_arrays"}
 
     @pytest.mark.parametrize("fn", SMALL_CORPUS, ids=lambda fn: f"{fn.name}-d{fn.d}")
     def test_views_read_the_level_arrays(self, fn):
@@ -1132,11 +1123,10 @@ class TestLevelArrayStorage:
             arrays = s._level_arrays
             assert list(arrays) == s.levels()
             assert len(s) == grid_count(n, fn.d)
-            for other in (SurplusMap(fn.d, n, column_from_entries(s.entries, n, fn.d)),
-                          SurplusMap.loads(s.dumps())):
-                assert list(other._level_arrays) == s.levels()
-                for level in s.levels():
-                    np.testing.assert_array_equal(other._level_arrays[level], arrays[level])
+            other = SurplusMap(fn.d, n, column_from_entries(s.entries, n, fn.d))
+            assert list(other._level_arrays) == s.levels()
+            for level in s.levels():
+                np.testing.assert_array_equal(other._level_arrays[level], arrays[level])
             pairs = list(s.items())
             flat = np.concatenate([arrays[level].reshape(-1) for level in s.levels()])
             assert [g for g, _ in pairs] == [
@@ -1148,8 +1138,7 @@ class TestLevelArrayStorage:
 
     def test_flat_buffer_locates_every_cell(self):
         # the stored column that chebyshev_expansion gathers from, read-only
-        for s in (surplus_coefficients(aniso(3).f, 4, 3), SurplusMap.loads(
-                surplus_coefficients(aniso(2).f, 5, 2).dumps())):
+        for s in (surplus_coefficients(aniso(3).f, 4, 3), surplus_coefficients(aniso(2).f, 5, 2)):
             flat = s.coefficients
             assert not flat.flags.writeable
             levels, offsets, shifts = _level_layout(s.n, s.d)
@@ -1157,7 +1146,7 @@ class TestLevelArrayStorage:
             for k, level in enumerate(s.levels()):
                 cells = np.argwhere(np.ones(s._level_arrays[level].shape, dtype=bool))
                 got = flat[offsets[k] + (cells << shifts[k]).sum(axis=1)]
-                assert np.array_equal(got, s.level_values(level))
+                assert np.array_equal(got, s._level_arrays[level].reshape(-1))
 
     @pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 4)])
     def test_position_names_its_node(self, d, n):
@@ -1168,6 +1157,23 @@ class TestLevelArrayStorage:
         for position, g in enumerate(nodes):
             assert sparsegrid._nodes_at(n, d, [position]) == [g]
             assert s[g] == s.coefficients[position]
+
+    @pytest.mark.parametrize("d, n", [(1, 6), (2, 5), (3, 4)])
+    def test_items_name_the_build_nodes(self, d, n, monkeypatch):
+        # the node of each position is the point the build handed to f there,
+        # so a swapped axis or cell order in either naming fails; blocks of 5
+        # rows cross level boundaries
+        seen = []
+        s = surplus_coefficients(lambda X: seen.append(X.copy()) or aniso(d).f(X), n, d)
+        levels = enumerate_levels(n, d)
+        built = np.concatenate([sparsegrid._level_nodes(level) for level in levels])
+        want = np.array([g.node() for level in levels for g in index_set(level)])
+        assert seen[0][:len(s)].tobytes() == built.tobytes() == want.tobytes()
+        for rows in (BATCH_ROWS, 5):
+            monkeypatch.setattr(sparsegrid, "BATCH_ROWS", rows)
+            pairs = list(s.items())
+            assert np.array([g.node() for g, _ in pairs]).tobytes() == built.tobytes()
+            assert [v for _, v in pairs] == s.coefficients.tolist()
 
     def test_node_beyond_level_n_is_missing(self):
         s = surplus_coefficients(PROD_QUAD_2, 2, 2)
@@ -1200,9 +1206,8 @@ class TestEachSurplusStoredOnce:
     def test_after_build_load_and_reads(self, d, n):
         built = surplus_coefficients(two_products(d), n, d)
         points = np.random.default_rng(d).random((50, d))
-        for smap in (built, SurplusMap.loads(built.dumps())):
-            self.check(smap)
-            chebyshev_expansion(smap, points[0])
-            smap.evaluate_batch(points)
-            smap.evaluate_grid(points[:7].T)
-            self.check(smap)
+        self.check(built)
+        chebyshev_expansion(built, points[0])
+        built.evaluate_batch(points)
+        built.evaluate_grid(points[:7].T)
+        self.check(built)
