@@ -18,13 +18,15 @@ multiplies the broadcast factors in the order of the point form, so the
 values are the same bit for bit and no (m, d) point array is built.  Any
 other callable, a wrapped ``f`` included, is called on points.
 
-The coefficient audit and the stencil-vs-integral gap work one level and
-one axis at a time: each factor of the mixed derivative's ``factors`` is
-summed over the two-cell Gauss rule of every node's support, and a level's
-values are the outer product of its d axis vectors, so no d-dimensional
-point array is built.  At d = 1 any callable is its own factor; at d >= 2 a
-derivative without ``factors`` is refused.  The audit's results are float
-columns aligned with the map's coefficient column, and so is the gap's oracle.
+The coefficient audit and the stencil-vs-integral gap read one support-sum
+column each (``sparsegrid._support_column``): each factor of the mixed
+derivative's ``factors`` is summed over the two-cell Gauss rule of every
+support of every level once per axis, and a level's values are the outer
+product of its d axis vectors, so no d-dimensional point array is built.
+At d = 1 any callable is its own factor; at d >= 2 a derivative without
+``factors`` is refused with a message naming d.  The audit's results are
+float columns aligned with the map's coefficient column, and so is the
+gap's oracle.
 
 Resource bounds implement the epsilon-complexity formulas with every big-O
 constant set to 1; outputs are relative units good for ordering and
@@ -52,7 +54,7 @@ from .sparsegrid import (
     integral_coefficient,  # re-exported: part of this module's interface
     integral_column,
     _nodes_at,
-    _support_sums,
+    _support_column,
     surplus_coefficients,
 )
 
@@ -490,17 +492,6 @@ class AuditReport:
                            ratios[position, which].tolist())
 
 
-def local_seminorms_2(mixed_derivative: Callable, level: Sequence[int],
-                      indices: Sequence[Sequence[int]] | None = None) -> np.ndarray:
-    """L2 norms of the mixed derivative over the hat supports of one level.
-
-    Each squared norm is a product of one 1-D sum of a squared factor per
-    axis; values come in storage (C) order within the level.
-    """
-    squares = _support_sums(mixed_derivative, level, indices, SEMINORM_NODES_PER_CELL, power=2)
-    return np.sqrt(squares)
-
-
 def _check_map(func: KorobovTestFunction, smap: SurplusMap) -> None:
     if smap.d != func.d:
         raise ValueError(f"surplus map of d={smap.d} for a function of d={func.d}")
@@ -525,7 +516,8 @@ def coefficient_bound_audit(func: KorobovTestFunction, smap: SurplusMap,
     bounds = np.repeat([(2.0 ** (-d - 2 * sum(l)) * func.seminorm_inf,
                          2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * sum(l)))
                         for l in levels], [1 << (sum(l) - d) for l in levels], axis=0)
-    bounds[:, 1] *= np.concatenate([local_seminorms_2(func.mixed_derivative, l) for l in levels])
+    bounds[:, 1] *= np.sqrt(_support_column(func.mixed_derivative, smap.n, d,
+                                            SEMINORM_NODES_PER_CELL, power=2))
     values = smap.coefficients * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(bounds == 0.0, np.where(values[:, None] == 0.0, 0.0, np.inf),

@@ -524,12 +524,16 @@ def cmd_resources(args) -> int:
                 for e in estimates]
         write_out(csv_text(header, rows, [f"p={fmt(p)}"]), args.out)
         return EXIT_OK
+    funcs = {}
+    for d in d_values:  # every d's largest build is checked before the first is made
+        with contextlib.suppress(KeyError):
+            funcs[d] = analysis.corpus_function("prod-quad", d)
+            sparsegrid._check_surplus_size(n_values[-1], d)
     measured = []
     for d in d_values:
         for n in n_values:
-            try:
-                func = analysis.corpus_function("prod-quad", d)
-            except KeyError:
+            func = funcs.get(d)
+            if func is None:
                 measured.append({"d": d, "n": n, "feasible": False,
                                  "reason": "no corpus function for this d"})
                 continue
@@ -558,6 +562,8 @@ def cmd_audit(args) -> int:
     ]
     if not funcs:
         raise ConfigError("no corpus function matches the audit filter")
+    for func in funcs:  # the largest builds, checked before the first is made
+        sparsegrid._check_surplus_size(n_max, func.d)
     audits = []
     for func in funcs:
         for n in range(1, n_max + 1):

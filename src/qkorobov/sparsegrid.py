@@ -19,10 +19,10 @@ O(d N) and the memory O(N).  The zero boundary is checked, not assumed:
 boundary points the stencil reads, so the build costs N plus
 2d * grid_count(n, d - 1) evaluations of ``f``.  The integral
 representation of the coefficients (hat kernel against the order-2d mixed
-derivative) is kept in ``integral_coefficients`` (one level at a time; all
-of them in storage order with ``integral_column``) and
-``integral_coefficient`` (one node) purely as an independent check, as
-products of one 1-D sum per axis of the derivative's ``factors``.
+derivative) is kept in ``integral_column`` (every node, in storage order)
+and ``integral_coefficient`` (one node) purely as an independent check, as
+products of one 1-D sum per axis of the derivative's ``factors``, computed
+once per (axis, level) by ``_support_column``.
 
 The classical evaluators accept points of [0,1]^d only: ``evaluate``,
 ``evaluate_batch``, ``evaluate_grid`` and ``chebyshev_expansion`` reject a
@@ -134,14 +134,6 @@ def enumerate_levels(n: int, d: int) -> list[Level]:
     for j in range(d):  # component j leaves at least 1 for each of the d - 1 - j after it
         levels = [p + (l,) for p in levels for l in range(1, n + j - sum(p) + 1)]
     return levels
-
-
-def _check_level(level: Sequence[int]) -> Level:
-    level = tuple(int(l) for l in level)
-    for l in level:
-        if l < 1:
-            raise ValueError(f"level component {l} < 1")
-    return level
 
 
 def grid_count(n: int, d: int) -> int:
@@ -341,8 +333,10 @@ class SurplusMap:
                 sub = arrays[level] if k + 1 == d else contract(level, budget - l)
                 cell, hat_k = cells[k][l - 1]
                 target = out if l == 1 else buf
-                # the cells are in range; "clip" lets take write into target unbuffered
-                np.take(sub.reshape(outer, -1, inner), cell, axis=1, out=target, mode="clip")
+                # the cells are in range; "clip" lets take write into target unbuffered.
+                # The level's cell count, not -1, names the middle axis when inner is 0
+                np.take(sub.reshape(outer, 1 << (l - 1), inner), cell, axis=1, out=target,
+                        mode="clip")
                 target *= hat_k[:, None]
                 if l > 1:
                     out += buf
@@ -599,69 +593,70 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _support_sums(mixed_derivative: Callable, level: Sequence[int],
-                 indices: Sequence[Sequence[int]] | None = None, nodes_per_cell: int = 32,
-                 kernel: bool = False, power: int = 1) -> np.ndarray:
-    """Two-cell Gauss-Legendre sums of the mixed derivative over the hat supports of one level.
-
-    The derivative is read as one factor a_j per axis from its ``factors``; at
-    d = 1 any callable on (m, 1) points is its own factor, and at d >= 2 one
-    without them raises ValueError.  Along axis j the support of hat (l, i)
-    splits at its node into two cells of ``nodes_per_cell`` points, so the
-    hat's kink falls between cells, and the node's axis sum is
-    sum_q w_q a_j(x_q)^power; with ``kernel`` every weight carries the kernel
-    -2^-(l+1) phi_{l,i}(x) of the surplus representation.  Returns the
-    product of the axis sums for each node of the product of ``indices`` (all
-    of the level by default), in storage (C) order within the level.
-    """
-    level = _check_level(level)
-    if indices is None:
-        indices = [range(1, 2 ** l, 2) for l in level]
-    if len(indices) != len(level):
-        raise ValueError("need one index list per level component")
+def _axis_factors(mixed_derivative: Callable, d: int) -> Sequence[Callable]:
+    """The derivative's ``factors``, one per axis; at d = 1 any callable is its own factor."""
     factors = getattr(mixed_derivative, "factors", None)
-    if factors is None and len(level) == 1:
+    if factors is None and d == 1:
         factors = [lambda t: np.reshape(mixed_derivative(t.reshape(-1, 1)), t.shape)]
-    if factors is None or len(factors) != len(level):
-        raise ValueError(f"the mixed derivative has no factor per axis for level {level}; "
+    if factors is None or len(factors) != d:
+        raise ValueError(f"the mixed derivative has no factor per axis at d={d}; "
                          "d >= 2 needs a product of one factor per axis")
+    return factors
+
+
+def _axis_sums(factor: Callable, l: int, nodes_per_cell: int, kernel: bool,
+               power: int) -> np.ndarray:
+    """Two-cell Gauss-Legendre sums of one axis factor over the 2^(l-1) hat supports of level l.
+
+    The support of hat (l, i) splits at its node into two cells of
+    ``nodes_per_cell`` points, so the hat's kink falls between cells, and
+    entry (i - 1) / 2 is sum_q w_q a(x_q)^power; with ``kernel`` every weight
+    carries the kernel -2^-(l+1) phi_{l,i}(x) of the surplus representation.
+    Blocks of about GRID_BLOCK_VALUES points leave every sum's bits as they are.
+    """
     base, base_w = gauss_legendre(nodes_per_cell)
-    out = np.ones(())
-    for l, idx, factor in zip(level, indices, factors):
-        odd = np.asarray(idx, dtype=np.int64)
-        if ((odd < 1) | (odd > 2 ** l - 1) | (odd % 2 == 0)).any():
-            raise ValueError(f"indices {odd.tolist()} invalid for level {l} (odd, in [1, 2^l-1])")
-        h = 2.0 ** -l
-        i = odd.astype(float)[:, None]
+    h = 2.0 ** -l
+    w = np.concatenate([h / 2 * base_w] * 2)
+    out = np.empty(1 << (l - 1))
+    step = max(1, GRID_BLOCK_VALUES // w.size)
+    for a in range(0, out.size, step):
+        i = np.arange(2 * a + 1, 2 * min(a + step, out.size), 2).astype(float)[:, None]
         node = i * h
         # cells (node - h, node) and (node, node + h) on every row
         p = np.concatenate([h / 2 * base + (node - h / 2), h / 2 * base + (node + h / 2)], axis=1)
-        w = np.concatenate([h / 2 * base_w] * 2)
-        if kernel:
-            w = w * (-(2.0 ** -(l + 1)) * hat(p / h - i))
-        values = np.asarray(factor(p), dtype=float)
-        out = np.multiply.outer(out, np.sum(w * values ** power, axis=1))
-    return out.ravel()
+        weights = w * (-(2.0 ** -(l + 1)) * hat(p / h - i)) if kernel else w
+        out[a:a + len(i)] = np.sum(weights * np.asarray(factor(p), dtype=float) ** power, axis=1)
+    return out
 
 
-def integral_coefficients(mixed_derivative: Callable, level: Sequence[int],
-                          indices: Sequence[Sequence[int]] | None = None) -> np.ndarray:
-    """Surpluses of one level via the integral representation (check oracle).
+def _support_column(mixed_derivative: Callable, n: int, d: int, nodes_per_cell: int,
+                    kernel: bool = False, power: int = 1) -> np.ndarray:
+    """Support sums of the mixed derivative over every hat of level n, in storage order.
 
-    Integrates prod_j(-2^{-(l_j+1)} phi_{l_j,i_j}(x_j)) times the order-2d
-    mixed derivative over each hat's support as a product of one 1-D sum per
-    axis.  Returns one value per node, in storage (C) order within the level.
+    The sums on axis j depend on l_j only: the d x n table of ``_axis_sums``
+    is built once, and each level row of ``_level_layout`` is the outer
+    product of its d axis vectors, in axis order.
     """
-    return _support_sums(mixed_derivative, level, indices, SURPLUS_NODES_PER_CELL, kernel=True)
+    table = [[_axis_sums(factor, l, nodes_per_cell, kernel, power) for l in range(1, n + 1)]
+             for factor in _axis_factors(mixed_derivative, d)]
+    levels, offsets, _ = _level_layout(n, d)
+    column = np.empty(grid_count(n, d))
+    for row, offset in zip(levels.tolist(), offsets.tolist()):
+        sums = table[0][row[0]]
+        for j in range(1, d):
+            sums = np.multiply.outer(sums, table[j][row[j]])
+        column[offset:offset + sums.size] = sums.reshape(-1)
+    return column
 
 
 def integral_column(mixed_derivative: Callable, n: int, d: int) -> np.ndarray:
-    """``integral_coefficients`` of every level, as one column in storage order (check oracle)."""
-    return np.concatenate([integral_coefficients(mixed_derivative, level)
-                           for level in enumerate_levels(n, d)])
+    """Surpluses of every node of level n via the integral representation (check oracle)."""
+    return _support_column(mixed_derivative, n, d, SURPLUS_NODES_PER_CELL, kernel=True)
 
 
 def integral_coefficient(mixed_derivative: Callable, g: GridIndex) -> float:
-    """Surplus of ``g`` via the integral representation (check oracle)."""
-    indices = [[i] for i in g.index]
-    return float(integral_coefficients(mixed_derivative, g.level, indices)[0])
+    """Surplus of ``g`` via the integral representation (check oracle): one axis sum per axis."""
+    value = 1.0
+    for factor, l, i in zip(_axis_factors(mixed_derivative, g.d), g.level, g.index):
+        value *= _axis_sums(factor, l, SURPLUS_NODES_PER_CELL, True, 1)[(i - 1) // 2].item()
+    return value

@@ -49,6 +49,8 @@ CASES = [
     ("coeffs", ["coeffs", "--fn", "prod-sin", "--d", "2", "--n", "4"], False),
     ("coeffs-quadrature", ["coeffs", "--fn", "prod-quad", "--d", "2", "--n", "3",
                            "--quadrature"], False),
+    ("coeffs-quadrature-aniso-d3", ["coeffs", "--expr", "x(1-x)*x^2(1-x)*sin(pi x)", "--n", "3",
+                                    "--quadrature"], False),
     ("verify-convergence-sin", ["convergence", "--fn", "prod-sin", "--d", "2", "--p", "inf",
                                 "--n-range", "3..6"], False),
     ("verify-convergence-quad", ["convergence", "--fn", "prod-quad", "--d", "3", "--p", "2",
@@ -69,6 +71,7 @@ CASES = [
     ("resources", ["resources"], False),
     ("resources-csv", ["resources", "--d", "3", "--n-range", "1..6", "--format", "csv"], False),
     ("audit-scaled", ["audit", "--n", "3", "--scale-coeffs", "1.1"], False),
+    ("audit-quad-d3", ["audit", "--fn", "prod-quad", "--d", "3", "--n", "4"], False),
     ("circuit-d3-n4", ["circuit", "--fn", "prod-quad", "--d", "3", "--n", "4",
                        "--x", "0.3,0.6,0.7"], True),
     ("circuit-sin-d2-n5", ["circuit", "--fn", "prod-sin", "--d", "2", "--n", "5",

@@ -1,5 +1,6 @@
 """Corpus checks, error norms, studies, bounds, and resource formulas."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -23,7 +24,6 @@ from qkorobov.analysis import (
     dual_oracle_gap,
     generic_point,
     lambert_w,
-    local_seminorms_2,
     lp_error,
     lp_error_mc,
     resource_estimate,
@@ -36,7 +36,7 @@ from qkorobov.sparsegrid import (
     SurplusMap,
     enumerate_levels,
     integral_coefficient,
-    integral_coefficients,
+    integral_column,
     surplus_coefficients,
 )
 from test_sparsegrid import index_set, reference_evaluate_grid, two_products
@@ -91,14 +91,20 @@ def scalar_audit(fn, smap, scale):
     with this loop bit for bit.
     """
     d, rows, violations, start = fn.d, [], [], 0
+    factors = sparsegrid._axis_factors(fn.mixed_derivative, d)
     for level in smap.levels():
         l1 = sum(level)
         bound_inf = 2.0 ** (-d - 2 * l1) * fn.seminorm_inf
-        seminorms = local_seminorms_2(fn.mixed_derivative, level).tolist()
+        sums = [sparsegrid._axis_sums(factor, l, analysis.SEMINORM_NODES_PER_CELL, False, 2)
+                for factor, l in zip(factors, level)]
         nodes = index_set(level)
         values = (smap.coefficients[start:start + len(nodes)] * scale).tolist()
         start += len(nodes)
-        for g, value, seminorm in zip(nodes, values, seminorms):
+        for g, value in zip(nodes, values):
+            square = 1.0  # one axis sum per axis, multiplied in axis order
+            for axis, i in zip(sums, g.index):
+                square *= axis[(i - 1) // 2].item()
+            seminorm = math.sqrt(square)
             bound_2 = 2.0 ** -d * (2.0 / 3.0) ** (d / 2.0) * 2.0 ** (-1.5 * l1) * seminorm
             ratios = []
             for which, bound in (("inf", bound_inf), ("2", bound_2)):
@@ -713,7 +719,7 @@ class TestCoefficientAudit:
 
 
 class TestLevelQuadrature:
-    """Level-batched quadratures against one-node forms and a numpy reference."""
+    """The support-sum columns against one-node forms and a numpy reference."""
 
     @pytest.mark.parametrize("fn, n", [
         pytest.param(fn, n, id=f"{fn.name}-d{fn.d}")
@@ -721,14 +727,17 @@ class TestLevelQuadrature:
     ])
     def test_batched_equals_one_node(self, fn, n):
         square = lambda X: fn.mixed_derivative(X) ** 2
+        seminorms = np.sqrt(sparsegrid._support_column(
+            fn.mixed_derivative, n, fn.d, analysis.SEMINORM_NODES_PER_CELL, power=2))
+        coeffs = integral_column(fn.mixed_derivative, n, fn.d)
+        assert seminorms.shape == coeffs.shape == (sparsegrid.grid_count(n, fn.d),)
+        start = 0
         for level in enumerate_levels(n, fn.d):
-            seminorms = local_seminorms_2(fn.mixed_derivative, level)
-            coeffs = integral_coefficients(fn.mixed_derivative, level)
             nodes = index_set(level)
-            assert seminorms.shape == coeffs.shape == (len(nodes),)
-            for g, seminorm, coeff in zip(nodes, seminorms, coeffs):
-                one = local_seminorms_2(fn.mixed_derivative, g.level, [[i] for i in g.index])[0]
-                assert seminorm == pytest.approx(one, rel=1e-13, abs=0)
+            level_seminorms = seminorms[start:start + len(nodes)]
+            level_coeffs = coeffs[start:start + len(nodes)]
+            start += len(nodes)
+            for g, seminorm, coeff in zip(nodes, level_seminorms, level_coeffs):
                 ref = math.sqrt(reference_support_sum(square, g, 24, kernel=False))
                 assert seminorm == pytest.approx(ref, rel=1e-13, abs=0)
                 one = integral_coefficient(fn.mixed_derivative, g)
@@ -736,27 +745,44 @@ class TestLevelQuadrature:
                 ref = reference_support_sum(fn.mixed_derivative, g, 32, kernel=True)
                 assert coeff == pytest.approx(ref, rel=1e-13, abs=1e-300)
 
-    def test_node_subset(self):
-        fn = corpus_function("prod-sin", 2)
-        got = integral_coefficients(fn.mixed_derivative, (3, 2), [[5, 1], [3]])
-        want = [integral_coefficient(fn.mixed_derivative, GridIndex((3, 2), i))
-                for i in ((5, 3), (1, 3))]
-        np.testing.assert_allclose(got, want, rtol=1e-13)
+    @pytest.mark.parametrize("d, n", [(2, 6), (3, 5)])
+    def test_one_factor_call_per_axis_and_level(self, d, n):
+        # the sums on axis j depend on l_j only: d * n calls, not one per level and axis
+        calls = []
 
-    @pytest.mark.parametrize("level, indices", [
-        ((2, 0), None), ((2,), [[2]]), ((2,), [[5]]), ((2, 1), [[1]]),
-    ])
-    def test_invalid_nodes_rejected(self, level, indices):
-        dd = corpus_function("prod-quad", len(level)).mixed_derivative
-        with pytest.raises(ValueError, match="level component|invalid for level|one index list"):
-            integral_coefficients(dd, level, indices)
+        def counted(factor):
+            def call(t):
+                calls.append(t.shape)
+                return factor(t)
+            return call
+
+        fn = aniso(d)
+        dd = analysis._SeparableProduct([counted(a) for a in fn.mixed_derivative.factors])
+        column = integral_column(dd, n, d)
+        assert len(calls) == d * n
+        assert column.tobytes() == integral_column(fn.mixed_derivative, n, d).tobytes()
+
+    def test_column_peak_memory(self):
+        # the axis sums take about GRID_BLOCK_VALUES points at a time, never a level's
+        dd = corpus_function("prod-quad", 1).mixed_derivative
+        tracemalloc.start()
+        try:
+            integral_column(dd, 18, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
     def test_derivative_without_factors_rejected(self):
         # a sum of two products has no factor per axis, so no per-axis rule applies
         dd = two_products(2)
-        for quadrature in (integral_coefficients, local_seminorms_2):
-            with pytest.raises(ValueError, match=r"no factor per axis for level \(2, 1\)"):
-                quadrature(dd, (2, 1))
+        with pytest.raises(ValueError, match=r"no factor per axis at d=2"):
+            integral_column(dd, 2, 2)
+        with pytest.raises(ValueError, match=r"no factor per axis at d=2"):
+            integral_coefficient(dd, GridIndex((2, 1), (1, 1)))
+        fn = dataclasses.replace(corpus_function("prod-quad", 2), mixed_derivative=dd)
+        with pytest.raises(ValueError, match=r"no factor per axis at d=2"):
+            coefficient_bound_audit(fn, surplus_coefficients(fn.f, 2, 2))
 
     @pytest.mark.parametrize("scale", [1.0, 1.05, 1.1, 2.0])
     def test_scaled_audit_violations(self, scale):

@@ -984,6 +984,35 @@ class TestInputChecks:
         assert "face points, above the limit of 16,777,216 points" in err
 
     @pytest.mark.parametrize("argv, message", [
+        (["audit", "--fn", "prod-quad", "--d", "3", "--n", "17"],
+         "d=3, n=17 evaluates f on 17,956,863 nodes + 12,582,918 face points"),
+        (["audit", "--d", "2", "--n", "20"],
+         "d=2, n=20 evaluates f on 19,922,945 nodes + 4,194,300 face points"),
+        (["resources", "--d", "1", "--n-range", "22..24"],
+         "d=1, n=24 evaluates f on 16,777,215 nodes + 2 face points"),
+        (["resources", "--n-range", "1..22"],
+         "d=2, n=22 evaluates f on 88,080,385 nodes + 16,777,212 face points"),
+    ])
+    def test_largest_build_checked_before_the_first(self, tmp_path, capsys, monkeypatch, argv,
+                                                    message):
+        # audit and resources build n = 1, 2, ... in turn: the top n is refused first
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the check")
+
+        monkeypatch.setattr(sparsegrid, "surplus_coefficients", refuse)
+        code, data = run_cli(argv, tmp_path, "big.out")
+        assert (code, data) == (2, b"")
+        assert f"a surplus build at {message}, above the limit of 16,777,216 points" in (
+            capsys.readouterr().err)
+
+    def test_resources_d_without_corpus_member_is_not_checked(self, tmp_path):
+        # no map is built at d=4, so its rows stay infeasible whatever n
+        code, data = run_cli(["resources", "--d", "4", "--n-range", "40..41"], tmp_path, "r.json")
+        assert code == 0
+        assert [(m["n"], m["feasible"]) for m in json.loads(data)["measured"]] == [
+            (40, False), (41, False)]
+
+    @pytest.mark.parametrize("argv, message", [
         (["--fn", "prod-quad", "--d", "3", "--p", "2", "--n-range", "6..6"],
          "sup norm at d=3, n=6 reads a tensor grid of 1,076,890,625 points"),
         (["--expr", "x(1-x)*x(1-x)*x(1-x)*x(1-x)", "--p", "2", "--n-range", "4..4"],

@@ -41,7 +41,7 @@ def index_set(level):
     The plain reference that ``_nodes_at`` and ``SurplusMap.items()`` are
     checked against; a level component below 1 raises ValueError.
     """
-    level = sparsegrid._check_level(level)
+    level = GridIndex(level, [1] * len(level)).level  # refuses a level component below 1
     return [GridIndex(level, idx) for idx in itertools.product(*(range(1, 2 ** l, 2)
                                                                  for l in level))]
 
@@ -697,6 +697,18 @@ class TestGrid:
             assert np.array_equal(s.evaluate_grid(axes, slice(start, stop)), want)
         monkeypatch.setattr(sparsegrid, "GRID_BLOCK_VALUES", 7)
         assert np.array_equal(s.evaluate_grid(axes), whole)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_placement_of_empty_axes(self, d):
+        # an empty axis anywhere gives the empty grid of its shape
+        s = corpus_map("aniso", 3, d)
+        full = [np.array([0.5, 0.3]), np.array([0.2]), np.array([0.7, 0.1, 0.9])][:d]
+        for empty in itertools.product((False, True), repeat=d):
+            axes = [np.empty(0) if e else a for e, a in zip(empty, full)]
+            got = s.evaluate_grid(axes)
+            want = reference_evaluate_grid(s, axes)
+            assert got.shape == want.shape == tuple(len(a) for a in axes), empty
+            assert np.abs(got - want).max(initial=0.0) <= 1e-14 * coeff_scale(s)
 
     def test_axis_must_be_one_dimensional(self):
         # a (2, 2) axis is not read as four coordinates
